@@ -14,10 +14,11 @@ import os
 import re
 import sys
 from fractions import Fraction
+from math import isqrt
 
 from . import core, exchange, fixtures, laurent, padic, suites
 from .report import passed
-from .scalars import EXACT, backend_by_name
+from .scalars import backend_by_name
 
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
@@ -48,7 +49,7 @@ def _load_qgroup(args) -> core.FiniteQuantumGroup:
             with open(args.input) as fh:
                 obj = json.load(fh)
             return exchange.qgroup_from_obj(obj)
-        except (OSError, KeyError, ValueError, IndexError) as exc:
+        except (OSError, KeyError, TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
             raise CliError("cannot read quantum group: %s" % exc, EXIT_INPUT_ERROR)
     raise CliError("need --builtin or --input", EXIT_INPUT_ERROR)
 
@@ -113,15 +114,10 @@ def _read_values(text: str):
         obj = obj.get("values", obj.get("coords"))
     if not isinstance(obj, list):
         raise CliError("expected a JSON array of scalars", EXIT_INPUT_ERROR)
-    out = []
-    for x in obj:
-        if isinstance(x, dict):
-            out.append(exchange.scalar_from_obj(x))
-        elif isinstance(x, str):
-            out.append(Fraction(x))
-        else:
-            out.append(Fraction(x))
-    return out
+    try:
+        return [exchange.scalar_from_obj(x) if isinstance(x, dict) else Fraction(x) for x in obj]
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise CliError("bad scalar in element: %s" % exc, EXIT_INPUT_ERROR)
 
 
 def _scalar_plain(s):
@@ -247,7 +243,7 @@ def cmd_padic(args) -> int:
             print(padic.haar_integral(padic.indicator(b)))
         else:
             raise CliError("unknown padic op", EXIT_INPUT_ERROR)
-    except padic.ParseError as exc:
+    except ValueError as exc:  # parse errors, and results too long to print as integers
         raise CliError(str(exc), EXIT_INPUT_ERROR)
     return 0
 
@@ -261,8 +257,19 @@ def _emit(obj, output):
         print(text)
 
 
+def _is_prime(n: int) -> bool:
+    return n >= 2 and all(n % q for q in range(2, isqrt(n) + 1))
+
+
 def _primes(text):
-    return [int(t) for t in text.split(",") if t.strip()]
+    """Parse a comma list of primes below 2^32; argparse turns a raise into exit 2."""
+    primes = [int(t) for t in text.split(",") if t.strip()]
+    if not primes:
+        raise argparse.ArgumentTypeError("expected a comma list of primes")
+    for p in primes:
+        if not (p < 2**32 and _is_prime(p)):
+            raise argparse.ArgumentTypeError("%d is not a prime below 2^32" % p)
+    return primes
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -19,10 +19,12 @@ Conventions (basis a_0 .. a_{d-1}):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import product
 from typing import Optional
 
 from . import linalg
-from .report import CheckReport, make_report
+from .report import check, make_report
 from .scalars import EXACT, Backend
 
 
@@ -36,6 +38,12 @@ class FaithfulnessError(StructureError):
 
 class OwnerMismatchError(ValueError):
     """Elements/functionals from different quantum groups were mixed."""
+
+
+@lru_cache(maxsize=None)
+def _basis(d: int, i: int) -> tuple:
+    """Coordinates of the i-th basis vector a_i of a d-dimensional algebra."""
+    return tuple(1 if t == i else 0 for t in range(d))
 
 
 @dataclass
@@ -80,7 +88,7 @@ class FiniteQuantumGroup:
         return Element(self, [self.backend.normalize(c) for c in coords])
 
     def basis_element(self, i: int) -> "Element":
-        return self.element([1 if j == i else 0 for j in range(self.dim)])
+        return self.element(_basis(self.dim, i))
 
     def functional(self, values) -> "Functional":
         return Functional(self, [self.backend.normalize(v) for v in values])
@@ -277,8 +285,7 @@ class Functional:
         A = self.owner
         out = []
         for m in range(A.dim):
-            s = A.antipode_coords([1 if i == m else 0 for i in range(A.dim)])
-            ss = A.star_coords(s)
+            ss = A.star_coords(A.antipode[m])
             out.append(A.backend.conj(self.of_coords(ss)))
         return Functional(A, out)
 
@@ -314,46 +321,24 @@ def _tensors_eq(be, t1, t2):
     return all(be.is_zero(a - b) for a, b in zip(flat(t1), flat(t2)))
 
 
-def verify_axioms(A: FiniteQuantumGroup) -> list:
-    """Check every defining identity; failures are reported, not raised."""
-    be = A.backend
+def _associativity(A):
     d = A.dim
-    suite = "axioms:" + A.name
-    reports = []
+    for i, j, k in product(range(d), repeat=3):
+        lhs = A.mul_coords(A.mult[i][j], _basis(d, k))
+        rhs = A.mul_coords(_basis(d, i), A.mult[j][k])
+        yield "basis (%d,%d,%d)" % (i, j, k), lhs, rhs
 
-    def check(case, ok, witness=None):
-        reports.append(make_report(suite, case, ok, witness))
 
-    # associativity
-    ok, wit = True, None
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                lhs = A.mul_coords(A.mult[i][j], [1 if t == k else 0 for t in range(d)])
-                rhs = A.mul_coords([1 if t == i else 0 for t in range(d)], A.mult[j][k])
-                if not _tensors_eq(be, lhs, rhs):
-                    ok, wit = False, "basis (%d,%d,%d)" % (i, j, k)
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    check("associativity", ok, wit)
+def _unit_law(A):
+    for i in range(A.dim):
+        e = _basis(A.dim, i)
+        yield "basis %d" % i, A.mul_coords(A.unit, e), e
+        yield "basis %d" % i, A.mul_coords(e, A.unit), e
 
-    # unit acts as identity
-    if A.unit is not None:
-        ok, wit = True, None
-        for i in range(d):
-            e = [1 if t == i else 0 for t in range(d)]
-            if not _tensors_eq(be, A.mul_coords(A.unit, e), e) or not _tensors_eq(
-                be, A.mul_coords(e, A.unit), e
-            ):
-                ok, wit = False, "basis %d" % i
-                break
-        check("unit law", ok, wit)
 
-    # coassociativity: (coproduct (x) id) vs (id (x) coproduct)
-    ok, wit = True, None
+def _coassociativity(A):
+    """(coproduct (x) id) coproduct = (id (x) coproduct) coproduct"""
+    d = A.dim
     for i in range(d):
         lhs = [[[A.zero_scalar()] * d for _ in range(d)] for _ in range(d)]
         rhs = [[[A.zero_scalar()] * d for _ in range(d)] for _ in range(d)]
@@ -362,137 +347,125 @@ def verify_axioms(A: FiniteQuantumGroup) -> list:
                 lhs[a][b][k] = lhs[a][b][k] + c * c2
             for a, b, c2 in A.comult[k]:
                 rhs[j][a][b] = rhs[j][a][b] + c * c2
-        if not _tensors_eq(be, lhs, rhs):
-            ok, wit = False, "basis %d" % i
-            break
-    check("coassociativity", ok, wit)
+        yield "basis %d" % i, lhs, rhs
 
-    # counit law
-    ok, wit = True, None
+
+def _counit_law(A):
+    d = A.dim
     for i in range(d):
         left = [A.zero_scalar()] * d
         right = [A.zero_scalar()] * d
         for j, k, c in A.comult[i]:
             right[j] = right[j] + c * A.counit[k]
             left[k] = left[k] + c * A.counit[j]
-        e = [1 if t == i else 0 for t in range(d)]
-        if not _tensors_eq(be, left, e) or not _tensors_eq(be, right, e):
-            ok, wit = False, "basis %d" % i
-            break
-    check("counit law", ok, wit)
+        yield "basis %d" % i, left, _basis(d, i)
+        yield "basis %d" % i, right, _basis(d, i)
 
-    # antipode law: m(S (x) id)coproduct(a) = eps(a) 1 = m(id (x) S)coproduct(a)
-    if A.unit is not None:
-        ok, wit = True, None
-        for i in range(d):
-            l = [A.zero_scalar()] * d
-            r = [A.zero_scalar()] * d
-            for j, k, c in A.comult[i]:
-                sj = A.antipode_coords([1 if t == j else 0 for t in range(d)])
-                sk = A.antipode_coords([1 if t == k else 0 for t in range(d)])
-                pj = A.mul_coords(sj, [1 if t == k else 0 for t in range(d)])
-                pk = A.mul_coords([1 if t == j else 0 for t in range(d)], sk)
-                l = [x + c * y for x, y in zip(l, pj)]
-                r = [x + c * y for x, y in zip(r, pk)]
-            target = [A.counit[i] * u for u in A.unit]
-            if not _tensors_eq(be, l, target) or not _tensors_eq(be, r, target):
-                ok, wit = False, "basis %d" % i
-                break
-        check("antipode law", ok, wit)
 
-    # invariance of the integrals
-    if A.unit is not None:
-        ok, wit = True, None
-        for i in range(d):
-            acc = [A.zero_scalar()] * d
-            for j, k, c in A.comult[i]:
-                acc[j] = acc[j] + c * A.left_integral[k]
-            target = [A.left_integral[i] * u for u in A.unit]
-            if not _tensors_eq(be, acc, target):
-                ok, wit = False, "basis %d" % i
-                break
-        check("left invariance", ok, wit)
+def _antipode_law(A):
+    """m(S (x) id)coproduct(a) = eps(a) 1 = m(id (x) S)coproduct(a)"""
+    d = A.dim
+    for i in range(d):
+        left = [A.zero_scalar()] * d
+        right = [A.zero_scalar()] * d
+        for j, k, c in A.comult[i]:
+            pj = A.mul_coords(A.antipode[j], _basis(d, k))
+            pk = A.mul_coords(_basis(d, j), A.antipode[k])
+            left = [x + c * y for x, y in zip(left, pj)]
+            right = [x + c * y for x, y in zip(right, pk)]
+        target = [A.counit[i] * u for u in A.unit]
+        yield "basis %d" % i, left, target
+        yield "basis %d" % i, right, target
 
-        ok, wit = True, None
-        for i in range(d):
-            acc = [A.zero_scalar()] * d
-            for j, k, c in A.comult[i]:
-                acc[k] = acc[k] + c * A.right_integral[j]
-            target = [A.right_integral[i] * u for u in A.unit]
-            if not _tensors_eq(be, acc, target):
-                ok, wit = False, "basis %d" % i
-                break
-        check("right invariance", ok, wit)
 
-    # faithfulness
-    try:
-        linalg.inverse(A.gram_phi(), be)
-        check("faithfulness of phi", True)
-    except linalg.SingularMatrixError:
-        check("faithfulness of phi", False, "singular Gram matrix")
-    try:
-        linalg.inverse(A.gram_psi(), be)
-        check("faithfulness of psi", True)
-    except linalg.SingularMatrixError:
-        check("faithfulness of psi", False, "singular Gram matrix")
+def _invariance(A, left):
+    """(id (x) phi)coproduct(a) = phi(a) 1 for the left integral phi, or
+    (psi (x) id)coproduct(a) = psi(a) 1 for the right integral psi."""
+    d = A.dim
+    integral = A.left_integral if left else A.right_integral
+    for i in range(d):
+        acc = [A.zero_scalar()] * d
+        for j, k, c in A.comult[i]:
+            if left:
+                acc[j] = acc[j] + c * integral[k]
+            else:
+                acc[k] = acc[k] + c * integral[j]
+        yield "basis %d" % i, acc, [integral[i] * u for u in A.unit]
 
-    if A.is_star:
-        # involution: (a*)* = a
-        ok, wit = True, None
-        for i in range(d):
-            e = [1 if t == i else 0 for t in range(d)]
-            if not _tensors_eq(be, A.star_coords(A.star_coords(e)), e):
-                ok, wit = False, "basis %d" % i
-                break
-        check("star involution", ok, wit)
 
-        # star antihomomorphism: (ab)* = b* a*
-        ok, wit = True, None
-        for i in range(d):
-            for j in range(d):
-                lhs = A.star_coords(A.mult[i][j])
-                rhs = A.mul_coords(
-                    A.star_coords([1 if t == j else 0 for t in range(d)]),
-                    A.star_coords([1 if t == i else 0 for t in range(d)]),
-                )
-                if not _tensors_eq(be, lhs, rhs):
-                    ok, wit = False, "basis (%d,%d)" % (i, j)
-                    break
-            if not ok:
-                break
-        check("star antihomomorphism", ok, wit)
+def _faithfulness(A, gram):
+    """An integral is faithful when its Gram matrix has nullity 0."""
+    yield "singular Gram matrix", len(linalg.nullspace(gram, A.backend)), 0
 
-        # coproduct is a *-homomorphism
-        ok, wit = True, None
-        for i in range(d):
-            si = A.star_coords([1 if t == i else 0 for t in range(d)])
-            lhs = A.comult_dense(si)
-            rhs = [[A.zero_scalar()] * d for _ in range(d)]
-            for j, k, c in A.comult[i]:
-                sj = A.star_coords([1 if t == j else 0 for t in range(d)])
-                sk = A.star_coords([1 if t == k else 0 for t in range(d)])
-                cc = be.conj(c)
-                for a in range(d):
-                    if be.is_zero(sj[a]):
-                        continue
-                    for b in range(d):
-                        rhs[a][b] = rhs[a][b] + cc * sj[a] * sk[b]
-            if not _tensors_eq(be, lhs, rhs):
-                ok, wit = False, "basis %d" % i
-                break
-        check("coproduct *-homomorphism", ok, wit)
 
-        # S o * o S o * = id
-        ok, wit = True, None
-        for i in range(d):
-            e = [1 if t == i else 0 for t in range(d)]
-            v = A.antipode_coords(A.star_coords(A.antipode_coords(A.star_coords(e))))
-            if not _tensors_eq(be, v, e):
-                ok, wit = False, "basis %d" % i
-                break
-        check("S*S* = id", ok, wit)
+def _star_involution(A):
+    """(a*)* = a"""
+    for i in range(A.dim):
+        yield "basis %d" % i, A.star_coords(A.star[i]), _basis(A.dim, i)
 
-    return reports
+
+def _star_antihomomorphism(A):
+    """(ab)* = b* a*"""
+    for i, j in product(range(A.dim), repeat=2):
+        yield "basis (%d,%d)" % (i, j), A.star_coords(A.mult[i][j]), A.mul_coords(A.star[j], A.star[i])
+
+
+def _comult_star_homomorphism(A):
+    be = A.backend
+    d = A.dim
+    for i in range(d):
+        rhs = [[A.zero_scalar()] * d for _ in range(d)]
+        for j, k, c in A.comult[i]:
+            sj, sk = A.star[j], A.star[k]
+            cc = be.conj(c)
+            for a in range(d):
+                if be.is_zero(sj[a]):
+                    continue
+                for b in range(d):
+                    rhs[a][b] = rhs[a][b] + cc * sj[a] * sk[b]
+        yield "basis %d" % i, A.comult_dense(A.star[i]), rhs
+
+
+def _s_star_s_star(A):
+    for i in range(A.dim):
+        v = A.antipode_coords(A.star_coords(A.antipode_coords(A.star[i])))
+        yield "basis %d" % i, v, _basis(A.dim, i)
+
+
+# The defining identities in report order: (case, the attribute of A that must
+# not be None for the identity to apply, cases), where cases(A) yields
+# (witness, lhs, rhs) basis-level cases.
+_AXIOMS = (
+    ("associativity", None, _associativity),
+    ("unit law", "unit", _unit_law),
+    ("coassociativity", None, _coassociativity),
+    ("counit law", None, _counit_law),
+    ("antipode law", "unit", _antipode_law),
+    ("left invariance", "unit", lambda A: _invariance(A, left=True)),
+    ("right invariance", "unit", lambda A: _invariance(A, left=False)),
+    ("faithfulness of phi", None, lambda A: _faithfulness(A, A.gram_phi())),
+    ("faithfulness of psi", None, lambda A: _faithfulness(A, A.gram_psi())),
+    ("star involution", "star", _star_involution),
+    ("star antihomomorphism", "star", _star_antihomomorphism),
+    ("coproduct *-homomorphism", "star", _comult_star_homomorphism),
+    ("S*S* = id", "star", _s_star_s_star),
+)
+
+
+def _failures(A, cases):
+    """Witnesses of the cases whose two sides differ, decided lazily."""
+    be = A.backend
+    return (witness for witness, lhs, rhs in cases(A) if not _tensors_eq(be, lhs, rhs))
+
+
+def verify_axioms(A: FiniteQuantumGroup) -> list:
+    """Check every defining identity; failures are reported, not raised."""
+    suite = "axioms:" + A.name
+    return [
+        check(suite, case, _failures(A, cases))
+        for case, needs, cases in _AXIOMS
+        if needs is None or getattr(A, needs) is not None
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +474,8 @@ def verify_axioms(A: FiniteQuantumGroup) -> list:
 
 def build_dual(A: FiniteQuantumGroup) -> DualResult:
     """The dual quantum group on the basis w_i = phi(. a_i)."""
+    if A.unit is None:
+        raise StructureError("the dual construction needs a unit")
     be = A.backend
     d = A.dim
     P = A.gram_phi()
@@ -637,13 +612,7 @@ def tensors_equal(A: FiniteQuantumGroup, B: FiniteQuantumGroup) -> bool:
     if not _tensors_eq(be, A.mult, B.mult):
         return False
     for i in range(d):
-        da = [[A.zero_scalar()] * d for _ in range(d)]
-        db = [[A.zero_scalar()] * d for _ in range(d)]
-        for j, k, c in A.comult[i]:
-            da[j][k] = da[j][k] + c
-        for j, k, c in B.comult[i]:
-            db[j][k] = db[j][k] + c
-        if not _tensors_eq(be, da, db):
+        if not _tensors_eq(be, A.comult_dense(_basis(d, i)), B.comult_dense(_basis(d, i))):
             return False
     pairs = [(A.counit, B.counit), (A.antipode, B.antipode), (A.left_integral, B.left_integral), (A.right_integral, B.right_integral)]
     if A.unit is not None or B.unit is not None:
@@ -766,16 +735,7 @@ def find_cointegral(A: FiniteQuantumGroup):
 
 
 def classify_type(A: FiniteQuantumGroup) -> dict:
-    compact = False
-    if A.unit is not None:
-        compact = True
-        for i in range(A.dim):
-            e = [1 if t == i else 0 for t in range(A.dim)]
-            if not _tensors_eq(A.backend, A.mul_coords(A.unit, e), e) or not _tensors_eq(
-                A.backend, A.mul_coords(e, A.unit), e
-            ):
-                compact = False
-                break
+    compact = A.unit is not None and next(_failures(A, _unit_law), None) is None
     discrete = bool(find_cointegral(A))
     return {"compact": compact, "discrete": discrete}
 
@@ -785,30 +745,25 @@ def dual_type_check(A: FiniteQuantumGroup) -> list:
     types = classify_type(A)
     if not types["compact"]:
         raise StructureError("dual_type_check requires compact type")
-    be = A.backend
     suite = "dual-type:" + A.name
-    reports = []
-
     Phi = fourier(A, A.one())  # the functional phi itself
-    ok, wit = True, None
-    for i in range(A.dim):
-        w = fourier(A, A.basis_element(i))
-        lhs = w * Phi
-        rhs = epsilon_hat(A, w) * Phi
-        if not lhs == rhs:
-            ok, wit = False, "dual basis %d" % i
-            break
-    reports.append(make_report(suite, "w phi = eps_hat(w) phi", ok, wit))
-
+    dual_basis = [("dual basis %d" % i, fourier(A, A.basis_element(i))) for i in range(A.dim)]
+    reports = [
+        check(
+            suite,
+            "w phi = eps_hat(w) phi",
+            (wit for wit, w in dual_basis if not w * Phi == epsilon_hat(A, w) * Phi),
+        )
+    ]
     if types["discrete"]:
         eps = Functional(A, list(A.counit))
-        ok, wit = True, None
-        for i in range(A.dim):
-            w = fourier(A, A.basis_element(i))
-            if not (eps * w == w and w * eps == w):
-                ok, wit = False, "dual basis %d" % i
-                break
-        reports.append(make_report(suite, "eps is a unit of the dual product", ok, wit))
+        reports.append(
+            check(
+                suite,
+                "eps is a unit of the dual product",
+                (wit for wit, w in dual_basis if not (eps * w == w and w * eps == w)),
+            )
+        )
     return reports
 
 
@@ -835,7 +790,7 @@ def is_group_like_projection(A: FiniteQuantumGroup, h: Element) -> bool:
         for k in range(d):
             if be.is_zero(D[j][k]):
                 continue
-            prod = A.mul_coords([1 if t == k else 0 for t in range(d)], h.coords)
+            prod = A.mul_coords(_basis(d, k), h.coords)
             for l in range(d):
                 lhs[j][l] = lhs[j][l] + D[j][k] * prod[l]
     rhs = [[hj * hl for hl in h.coords] for hj in h.coords]
@@ -877,7 +832,7 @@ def modular_element(A: FiniteQuantumGroup) -> Element:
     except (linalg.SingularMatrixError, linalg.InconsistentSystemError) as exc:
         raise StructureError("no modular element solves the defining system") from exc
     # invertibility: left multiplication by delta must be invertible
-    Lmat = [A.mul_coords(coords, [1 if t == i else 0 for t in range(d)]) for i in range(d)]
+    Lmat = [A.mul_coords(coords, _basis(d, i)) for i in range(d)]
     try:
         linalg.inverse(linalg.transpose(Lmat), be)
     except linalg.SingularMatrixError as exc:

@@ -38,8 +38,37 @@ def qgroup_to_obj(A: FiniteQuantumGroup) -> dict:
     }
 
 
+def _check_shape(name, value, d, depth):
+    """Raise ValueError unless value is a list of d lists of ... (depth deep)."""
+    if not isinstance(value, list) or len(value) != d:
+        raise ValueError("%s must have length %d" % (name, d))
+    if depth > 1:
+        for row in value:
+            _check_shape(name + " row", row, d, depth - 1)
+
+
+def _check_triples(name, entries, d):
+    """Raise ValueError unless entries are [i, j, k, scalar] with indices in range(d)."""
+    for entry in entries:
+        if not (isinstance(entry, list) and len(entry) == 4):
+            raise ValueError("%s entries must be [i, j, k, scalar]" % name)
+        if not all(type(t) is int and 0 <= t < d for t in entry[:3]):
+            raise ValueError("%s index out of range(%d): %r" % (name, d, entry[:3]))
+
+
 def qgroup_from_obj(obj: dict) -> FiniteQuantumGroup:
     d = obj["dim"]
+    if type(d) is not int or d < 1:
+        raise ValueError("dim must be a positive integer")
+    _check_triples("mult", obj["mult"], d)
+    _check_triples("comult", obj["comult"], d)
+    for key, depth in (("counit", 1), ("phi", 1), ("psi", 1), ("antipode", 2)):
+        _check_shape(key, obj[key], d, depth)
+    for key, depth in (("unit", 1), ("star", 2)):
+        if obj.get(key):
+            _check_shape(key, obj[key], d, depth)
+    if not isinstance(obj.get("name", "A"), str):
+        raise ValueError("name must be a string")
     mult = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
     for i, j, k, s in obj["mult"]:
         mult[i][j][k] = scalar_from_obj(s)

@@ -9,7 +9,6 @@ presentations.  Built-in tables are available by name: "trivial", "Z2",
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .core import FiniteQuantumGroup, StructureError

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import cmath
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 
-from .report import CheckReport, make_report
+from .report import make_report
 from .scalars import EXACT, Backend, Cyclotomic, zeta
 
 

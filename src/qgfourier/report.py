@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -26,11 +26,18 @@ def passed(reports) -> bool:
     return all(r.ok for r in reports)
 
 
-def failures(reports):
-    return [r for r in reports if not r.ok]
-
-
 def make_report(suite, case, ok, witness=None) -> CheckReport:
     if ok:
         return CheckReport(suite, case, "pass")
     return CheckReport(suite, case, "fail", witness=witness or "identity failed")
+
+
+def check(suite, case, failures) -> CheckReport:
+    """The report of one identity: a fail naming the first witness that
+    ``failures`` yields (one per failing case), or a pass if it yields none.
+
+    ``failures`` is usually a generator that decides its cases one at a time,
+    so no case after the first failure is computed.
+    """
+    witness = next(iter(failures), None)
+    return make_report(suite, case, witness is None, witness)

@@ -43,21 +43,6 @@ def _poly_mul(a, b):
     return _poly_trim(out)
 
 
-def _poly_divmod_exact(a, b):
-    """Divide a by b where the division is known to be exact over Z or Q."""
-    a = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1]
-        if c == 0:
-            continue
-        c = c if b[-1] == 1 else Fraction(c, 1) / b[-1]
-        q[i] = c
-        for j, y in enumerate(b):
-            a[i + j] -= c * y
-    return q, _poly_trim(a)
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple:
     """Coefficients of Phi_n, low degree first, monic integer polynomial."""
@@ -72,13 +57,9 @@ def cyclotomic_polynomial(n: int) -> tuple:
     for d in range(1, n):
         if n % d == 0:
             den = _poly_mul(den, list(cyclotomic_polynomial(d)))
-    q, r = _poly_divmod_exact(num, den)
+    q, r = _poly_full_divmod(num, [Fraction(c) for c in den])
     assert not r
     return tuple(int(c) for c in q)
-
-
-def _phi_degree(n: int) -> int:
-    return len(cyclotomic_polynomial(n)) - 1
 
 
 @lru_cache(maxsize=None)
@@ -296,12 +277,14 @@ def _poly_full_divmod(a, b):
     a = list(a)
     q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
     for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] / b[-1]
-        if c == 0:
+        top = a[i + len(b) - 1]
+        if top == 0:
             continue
+        c = top / b[-1]
         q[i] = c
         for j, y in enumerate(b):
-            a[i + j] -= c * y
+            if y:
+                a[i + j] -= c * y
     return _poly_trim(q), _poly_trim(a)
 
 

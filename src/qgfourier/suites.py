@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
+from itertools import product
 
 from . import core, fixtures, laurent, padic
-from .report import CheckReport, make_report, passed
+from .report import check, make_report, passed
 from .scalars import EXACT, FLOAT, Backend, zeta
 
 
@@ -48,89 +50,86 @@ def suite_inversion(backend: Backend = EXACT, seed: int = 0, n_random: int = 100
     reports = []
     for name, A in fixtures.standard_fixtures(backend):
         rng = random.Random((seed, name).__repr__())
-        ok, wit = True, None
-        for a in _sweep_elements(A, rng, n_random):
-            back = core.inverse_fourier(A, core.fourier(A, a))
-            if not back == a:
-                ok, wit = False, "element %r" % (a.coords,)
-                break
-        reports.append(make_report("inversion", name, ok, wit))
+        failures = (
+            "element %r" % (a.coords,)
+            for a in _sweep_elements(A, rng, n_random)
+            if not core.inverse_fourier(A, core.fourier(A, a)) == a
+        )
+        reports.append(check("inversion", name, failures))
     return reports
 
 
 def suite_lemma_inverse(backend: Backend = EXACT, seed: int = 0) -> list:
     """psi_hat(w' F(a)) = w'(S^{-1}(a)) on all basis pairs."""
-    reports = []
-    for name, A in fixtures.standard_fixtures(backend):
-        ok, wit = True, None
-        for i in range(A.dim):
-            wprime = core.fourier(A, A.basis_element(i))
-            for j in range(A.dim):
-                a = A.basis_element(j)
-                lhs = core.psi_hat(A, wprime * core.fourier(A, a))
-                rhs = wprime.of_coords(A.antipode_inv_coords(a.coords))
-                if not A.backend.is_zero(lhs - rhs):
-                    ok, wit = False, "basis pair (%d,%d)" % (i, j)
-                    break
-            if not ok:
-                break
-        reports.append(make_report("inversion-lemma", name, ok, wit))
-    return reports
+    return [
+        check("inversion-lemma", name, _lemma_inverse_failures(A))
+        for name, A in fixtures.standard_fixtures(backend)
+    ]
+
+
+def _lemma_inverse_failures(A):
+    for i in range(A.dim):
+        wprime = core.fourier(A, A.basis_element(i))
+        for j in range(A.dim):
+            a = A.basis_element(j)
+            lhs = core.psi_hat(A, wprime * core.fourier(A, a))
+            rhs = wprime.of_coords(A.antipode_inv_coords(a.coords))
+            if not A.backend.is_zero(lhs - rhs):
+                yield "basis pair (%d,%d)" % (i, j)
 
 
 def suite_convolution(backend: Backend = EXACT, seed: int = 0, n_padic_pairs: int = 50) -> list:
-    reports = []
-    for name, A in fixtures.standard_fixtures(backend):
-        ok, wit = True, None
-        for i in range(A.dim):
-            for j in range(A.dim):
-                a, b = A.basis_element(i), A.basis_element(j)
-                c1 = core.convolve(A, a, b)
-                c2 = core.convolve_alt(A, a, b)
-                if not c1 == c2:
-                    ok, wit = False, "formulas disagree at (%d,%d)" % (i, j)
-                    break
-                lhs = core.fourier(A, c1)
-                rhs = core.fourier(A, a) * core.fourier(A, b)
-                if not lhs == rhs:
-                    ok, wit = False, "convolution theorem fails at (%d,%d)" % (i, j)
-                    break
-            if not ok:
-                break
-        reports.append(make_report("convolution", name, ok, wit))
+    reports = [
+        check("convolution", name, _convolution_failures(A))
+        for name, A in fixtures.standard_fixtures(backend)
+    ]
 
     # classical oracle on function algebras: (a*b)(t) = sum_s a(s) b(s^-1 t)
     for gname in ("Z2", "Z3", "S3"):
-        G = fixtures.FiniteGroupTable.builtin(gname)
-        A = fixtures.function_algebra(G, backend)
         rng = random.Random((seed, "conv", gname).__repr__())
-        ok, wit = True, None
-        for _ in range(20):
-            a, b = _random_element(A, rng), _random_element(A, rng)
-            got = core.convolve(A, a, b)
-            want = [
-                sum(a.coords[s] * b.coords[G.cayley[G.inverse[s]][t]] for s in range(G.order))
-                for t in range(G.order)
-            ]
-            if not got == A.element(want):
-                ok, wit = False, "random pair on %s" % gname
-                break
-        reports.append(make_report("convolution", "classical-oracle:" + gname, ok, wit))
+        failures = _classical_convolution_failures(gname, rng, backend)
+        reports.append(check("convolution", "classical-oracle:" + gname, failures))
 
     # p-adic convolution theorem
     for p in (2, 3):
         rng = random.Random((seed, "padic-conv", p).__repr__())
-        ok, wit = True, None
-        for _ in range(n_padic_pairs // 2):
-            f = padic.random_schwartz(p, rng, backend)
-            g = padic.random_schwartz(p, rng, backend)
-            lhs = padic.padic_fourier(padic.schwartz_convolve(f, g))
-            rhs = padic.schwartz_mul(padic.padic_fourier(f), padic.padic_fourier(g))
-            if not lhs == rhs:
-                ok, wit = False, "random pair, p=%d" % p
-                break
-        reports.append(make_report("convolution", "padic:p=%d" % p, ok, wit))
+        failures = _padic_convolution_failures(p, rng, backend, n_padic_pairs // 2)
+        reports.append(check("convolution", "padic:p=%d" % p, failures))
     return reports
+
+
+def _convolution_failures(A):
+    for i in range(A.dim):
+        for j in range(A.dim):
+            a, b = A.basis_element(i), A.basis_element(j)
+            c1 = core.convolve(A, a, b)
+            if not c1 == core.convolve_alt(A, a, b):
+                yield "formulas disagree at (%d,%d)" % (i, j)
+            elif not core.fourier(A, c1) == core.fourier(A, a) * core.fourier(A, b):
+                yield "convolution theorem fails at (%d,%d)" % (i, j)
+
+
+def _classical_convolution_failures(gname, rng, backend):
+    G = fixtures.FiniteGroupTable.builtin(gname)
+    A = fixtures.function_algebra(G, backend)
+    for _ in range(20):
+        a, b = _random_element(A, rng), _random_element(A, rng)
+        want = [
+            sum(a.coords[s] * b.coords[G.cayley[G.inverse[s]][t]] for s in range(G.order))
+            for t in range(G.order)
+        ]
+        if not core.convolve(A, a, b) == A.element(want):
+            yield "random pair on %s" % gname
+
+
+def _padic_convolution_failures(p, rng, backend, n_pairs):
+    for _ in range(n_pairs):
+        f = padic.random_schwartz(p, rng, backend)
+        g = padic.random_schwartz(p, rng, backend)
+        lhs = padic.padic_fourier(padic.schwartz_convolve(f, g))
+        rhs = padic.schwartz_mul(padic.padic_fourier(f), padic.padic_fourier(g))
+        if not lhs == rhs:
+            yield "random pair, p=%d" % p
 
 
 def suite_plancherel(backend: Backend = EXACT, seed: int = 0, n_random: int = 100, tolerance: float = 1e-9) -> list:
@@ -140,28 +139,31 @@ def suite_plancherel(backend: Backend = EXACT, seed: int = 0, n_random: int = 10
             continue
         positive = name != "H4"  # the non-unimodular fixture has no positive integral
         rng = random.Random((seed, "plancherel", name).__repr__())
-        ok, wit = True, None
-        for a in _sweep_elements(A, rng, n_random):
-            reps = core.plancherel_check(A, a, check_positivity=positive, tolerance=tolerance)
-            if not passed(reps):
-                ok, wit = False, "; ".join(r.witness for r in reps if not r.ok)
-                break
-        reports.append(make_report("plancherel", name, ok, wit))
+        elements = _sweep_elements(A, rng, n_random)
+        reports.append(check("plancherel", name, _plancherel_failures(A, elements, positive, tolerance)))
 
     # p-adic Plancherel with the self-dual Haar normalization
     for p in (2, 3):
         rng = random.Random((seed, "padic-plancherel", p).__repr__())
-        ok, wit = True, None
-        for _ in range(25):
-            f = padic.random_schwartz(p, rng, backend)
-            fh = padic.padic_fourier(f)
-            lhs = padic.haar_integral(padic.schwartz_mul(fh, fh.conjugate()))
-            rhs = padic.haar_integral(padic.schwartz_mul(f, f.conjugate()))
-            if not f.backend.is_zero(lhs - rhs):
-                ok, wit = False, "random f, p=%d" % p
-                break
-        reports.append(make_report("plancherel", "padic:p=%d" % p, ok, wit))
+        reports.append(check("plancherel", "padic:p=%d" % p, _padic_plancherel_failures(p, rng, backend)))
     return reports
+
+
+def _plancherel_failures(A, elements, positive, tolerance):
+    for a in elements:
+        reps = core.plancherel_check(A, a, check_positivity=positive, tolerance=tolerance)
+        if not passed(reps):
+            yield "; ".join(r.witness for r in reps if not r.ok)
+
+
+def _padic_plancherel_failures(p, rng, backend):
+    for _ in range(25):
+        f = padic.random_schwartz(p, rng, backend)
+        fh = padic.padic_fourier(f)
+        lhs = padic.haar_integral(padic.schwartz_mul(fh, fh.conjugate()))
+        rhs = padic.haar_integral(padic.schwartz_mul(f, f.conjugate()))
+        if not f.backend.is_zero(lhs - rhs):
+            yield "random f, p=%d" % p
 
 
 def suite_biduality(backend: Backend = EXACT, seed: int = 0) -> list:
@@ -259,108 +261,107 @@ def suite_grouplike(backend: Backend = EXACT, seed: int = 0, primes=(2, 3, 5, 7)
 
 
 def suite_padic(backend: Backend = EXACT, seed: int = 0, primes=(2, 3, 5, 7)) -> list:
-    reports = []
     # golden identity: F(h_n) = p^-n h_-n exactly
-    for p in primes:
-        ok, wit = True, None
-        for n in range(-3, 4):
-            hn = padic.subgroup_indicator(p, n, backend)
-            got = padic.padic_fourier(hn)
-            want = padic.schwartz_scale(
-                Fraction(p) ** (-n) if backend.exact else float(Fraction(p) ** (-n)),
-                padic.subgroup_indicator(p, -n, backend),
-            )
-            if not got == want:
-                ok, wit = False, "n=%d" % n
-                break
-        reports.append(make_report("padic", "F(h_n) = p^-n h_-n, p=%d" % p, ok, wit))
+    reports = [
+        check("padic", "F(h_n) = p^-n h_-n, p=%d" % p, _golden_failures(p, backend)) for p in primes
+    ]
 
     # Haar: measure of p^n Zp is p^-n; translation invariance; linearity
     for p in (2, 5):
-        ok = all(
-            padic.haar_integral(padic.subgroup_indicator(p, n, backend))
-            == (Fraction(p) ** (-n) if backend.exact else complex(Fraction(p) ** (-n)))
-            for n in range(-3, 4)
-        )
         rng = random.Random((seed, "haar", p).__repr__())
-        for _ in range(10):
-            f = padic.random_schwartz(p, rng, backend)
-            shift = Fraction(rng.randint(0, p**2 - 1), p ** rng.randint(0, 2))
-            if not f.backend.is_zero(
-                padic.haar_integral(f.translated(shift)) - padic.haar_integral(f)
-            ):
-                ok = False
-                break
-        reports.append(make_report("padic", "Haar normalization and invariance, p=%d" % p, ok))
+        reports.append(check("padic", "Haar normalization and invariance, p=%d" % p, _haar_failures(p, rng, backend)))
 
     # double transform is reflection: F(F(f)) = f(-x)
     for p in (2, 3):
         rng = random.Random((seed, "reflect", p).__repr__())
-        ok, wit = True, None
-        for _ in range(10):
-            m = rng.randint(-2, 2)
-            c = Fraction(rng.randint(0, p**3 - 1), p ** rng.randint(0, 2))
-            cell = padic.indicator(padic.Ball.make(p, m, c), backend)
-            got = padic.padic_fourier(padic.padic_fourier(cell))
-            neg = padic._mod_power(-padic._mod_power(c, p, m), p, m)
-            want = padic.indicator(padic.Ball.make(p, m, neg), backend)
-            if not got == want:
-                ok, wit = False, "cell %s + %d^%d Zp" % (c, p, m)
-                break
-        reports.append(make_report("padic", "double transform reflects, p=%d" % p, ok, wit))
+        reports.append(check("padic", "double transform reflects, p=%d" % p, _reflection_failures(p, rng, backend)))
 
     reports.extend(suite_laurent(backend))
     return reports
 
 
+def _golden_failures(p, backend):
+    for n in range(-3, 4):
+        got = padic.padic_fourier(padic.subgroup_indicator(p, n, backend))
+        want = padic.schwartz_scale(
+            Fraction(p) ** (-n) if backend.exact else float(Fraction(p) ** (-n)),
+            padic.subgroup_indicator(p, -n, backend),
+        )
+        if not got == want:
+            yield "n=%d" % n
+
+
+def _haar_failures(p, rng, backend):
+    for n in range(-3, 4):
+        measure = padic.haar_integral(padic.subgroup_indicator(p, n, backend))
+        if not measure == (Fraction(p) ** (-n) if backend.exact else complex(Fraction(p) ** (-n))):
+            yield "measure of %d^%d Zp" % (p, n)
+    for _ in range(10):
+        f = padic.random_schwartz(p, rng, backend)
+        shift = Fraction(rng.randint(0, p**2 - 1), p ** rng.randint(0, 2))
+        if not f.backend.is_zero(padic.haar_integral(f.translated(shift)) - padic.haar_integral(f)):
+            yield "translation by %s" % shift
+
+
+def _reflection_failures(p, rng, backend):
+    for _ in range(10):
+        m = rng.randint(-2, 2)
+        c = Fraction(rng.randint(0, p**3 - 1), p ** rng.randint(0, 2))
+        cell = padic.indicator(padic.Ball.make(p, m, c), backend)
+        got = padic.padic_fourier(padic.padic_fourier(cell))
+        neg = padic._mod_power(-padic._mod_power(c, p, m), p, m)
+        want = padic.indicator(padic.Ball.make(p, m, neg), backend)
+        if not got == want:
+            yield "cell %s + %d^%d Zp" % (c, p, m)
+
+
 def suite_laurent(backend: Backend = EXACT) -> list:
-    reports = []
-    ok = all(
-        laurent.pair_fourier(laurent.basis(laurent.CZ, n, backend))
-        == laurent.basis(laurent.KZ, n, backend)
-        for n in range(-10, 11)
-    )
-    reports.append(make_report("laurent", "F(e_n) = delta_n for |n| <= 10", ok))
+    e = partial(laurent.basis, laurent.CZ, backend=backend)
+    delta = partial(laurent.basis, laurent.KZ, backend=backend)
+    window = range(-5, 6)
+    return [
+        check(
+            "laurent",
+            "F(e_n) = delta_n for |n| <= 10",
+            ("n=%d" % n for n in range(-10, 11) if not laurent.pair_fourier(e(n)) == delta(n)),
+        ),
+        check(
+            "laurent",
+            "<e_n, f> = f(-n)",
+            (
+                "(n,m)=(%d,%d)" % (n, m)
+                for n, m in product(window, repeat=2)
+                if not laurent.pair_pairing(e(n), delta(m)) == backend.normalize(1 if m == -n else 0)
+            ),
+        ),
+        check(
+            "laurent",
+            "phi(e_m e_n) = [m+n=0]",
+            (
+                "(m,n)=(%d,%d)" % (m, n)
+                for m, n in product(window, repeat=2)
+                if not backend.is_zero(
+                    laurent.pair_integral(laurent.pair_mult(e(m), e(n))) - backend.normalize(1 if m + n == 0 else 0)
+                )
+            ),
+        ),
+        # duality of product and coproduct through the pairing, via slices
+        check("laurent", "pairing intertwines products and coproducts", _intertwining_failures(e, delta, backend)),
+    ]
 
-    ok = all(
-        laurent.pair_pairing(laurent.basis(laurent.CZ, n, backend), laurent.basis(laurent.KZ, m, backend))
-        == backend.normalize(1 if m == -n else 0)
-        for n in range(-5, 6)
-        for m in range(-5, 6)
-    )
-    reports.append(make_report("laurent", "<e_n, f> = f(-n)", ok))
 
-    ok = True
-    for m in range(-5, 6):
-        for n in range(-5, 6):
-            v = laurent.pair_integral(
-                laurent.pair_mult(laurent.basis(laurent.CZ, m, backend), laurent.basis(laurent.CZ, n, backend))
-            )
-            if not backend.is_zero(v - backend.normalize(1 if m + n == 0 else 0)):
-                ok = False
-    reports.append(make_report("laurent", "phi(e_m e_n) = [m+n=0]", ok))
-
-    # duality of product and coproduct through the pairing, via slices
-    ok = True
-    for n in range(-5, 6):
-        for m in range(-5, 6):
-            f = laurent.basis(laurent.KZ, n, backend)
-            g = laurent.basis(laurent.KZ, m, backend)
-            for a in range(-5, 6):
-                en = laurent.basis(laurent.CZ, a, backend)
-                lhs = laurent.pair_pairing(en, laurent.pair_mult(f, g))
-                # <coproduct(e_a), f (x) g> = f(-a) g(-a)
-                rhs = f(-a) * g(-a)
-                if not backend.is_zero(lhs - rhs):
-                    ok = False
-            ename = laurent.pair_mult(laurent.basis(laurent.CZ, n, backend), laurent.basis(laurent.CZ, m, backend))
-            lhs = laurent.pair_pairing(ename, laurent.basis(laurent.KZ, 1, backend))
-            # <e_n (x) e_m, coproduct(f)> = f(-n - m)
-            rhs = laurent.basis(laurent.KZ, 1, backend)(-n - m)
-            if not backend.is_zero(lhs - rhs):
-                ok = False
-    reports.append(make_report("laurent", "pairing intertwines products and coproducts", ok))
-    return reports
+def _intertwining_failures(e, delta, backend):
+    window = range(-5, 6)
+    for n, m in product(window, repeat=2):
+        f, g = delta(n), delta(m)
+        for a in window:
+            # <coproduct(e_a), f (x) g> = f(-a) g(-a)
+            if not backend.is_zero(laurent.pair_pairing(e(a), laurent.pair_mult(f, g)) - f(-a) * g(-a)):
+                yield "<coproduct(e_%d), delta_%d (x) delta_%d>" % (a, n, m)
+        # <e_n (x) e_m, coproduct(f)> = f(-n - m)
+        lhs = laurent.pair_pairing(laurent.pair_mult(e(n), e(m)), delta(1))
+        if not backend.is_zero(lhs - delta(1)(-n - m)):
+            yield "<e_%d (x) e_%d, coproduct(delta_1)>" % (n, m)
 
 
 def suite_oracle(seed: int = 0, tolerance: float = 1e-6) -> list:
@@ -369,40 +370,36 @@ def suite_oracle(seed: int = 0, tolerance: float = 1e-6) -> list:
     reports = []
     for p in (2, 3):
         rng = random.Random((seed, "oracle", p).__repr__())
-        ok, wit = True, None
-        for _ in range(25):
-            f = padic.random_schwartz(p, rng, FLOAT)
-            fh = padic.padic_fourier(f)
-            samples = list(fh.cells.keys())[:6] + [Fraction(1, p**3), Fraction(p**3)]
-            for y in samples:
-                got = fh.evaluate(y)
-                want = padic.padic_fourier_oracle_value(f, y)
-                if abs(got - want) > tolerance:
-                    ok, wit = False, "y=%s got=%r want=%r" % (y, got, want)
-                    break
-            if not ok:
-                break
-        reports.append(make_report("oracle", "padic Riemann sum, p=%d" % p, ok, wit))
+        reports.append(check("oracle", "padic Riemann sum, p=%d" % p, _riemann_failures(p, rng, tolerance)))
 
     # abelian character-sum oracle, exact backend
     for gname, chars in _abelian_characters().items():
-        G = fixtures.FiniteGroupTable.builtin(gname)
-        A = fixtures.function_algebra(G)
         rng = random.Random((seed, "dft", gname).__repr__())
-        ok, wit = True, None
-        for _ in range(10):
-            a = _random_element(A, rng)
-            for chi in chars:
-                c_chi = A.element(list(chi))
-                got = core.fourier(A, a)(c_chi)
-                want = sum(chi[g] * a.coords[g] for g in range(G.order))
-                if not A.backend.is_zero(got - want):
-                    ok, wit = False, "character mismatch on %s" % gname
-                    break
-            if not ok:
-                break
-        reports.append(make_report("oracle", "character-sum DFT on %s" % gname, ok, wit))
+        reports.append(check("oracle", "character-sum DFT on %s" % gname, _character_failures(gname, chars, rng)))
     return reports
+
+
+def _riemann_failures(p, rng, tolerance):
+    for _ in range(25):
+        f = padic.random_schwartz(p, rng, FLOAT)
+        fh = padic.padic_fourier(f)
+        for y in list(fh.cells.keys())[:6] + [Fraction(1, p**3), Fraction(p**3)]:
+            got = fh.evaluate(y)
+            want = padic.padic_fourier_oracle_value(f, y)
+            if abs(got - want) > tolerance:
+                yield "y=%s got=%r want=%r" % (y, got, want)
+
+
+def _character_failures(gname, chars, rng):
+    G = fixtures.FiniteGroupTable.builtin(gname)
+    A = fixtures.function_algebra(G)
+    for _ in range(10):
+        a = _random_element(A, rng)
+        for chi in chars:
+            got = core.fourier(A, a)(A.element(list(chi)))
+            want = sum(chi[g] * a.coords[g] for g in range(G.order))
+            if not A.backend.is_zero(got - want):
+                yield "character mismatch on %s" % gname
 
 
 def _abelian_characters():

@@ -1,10 +1,16 @@
 """CLI surface: exit codes, round trips, deterministic reports."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from qgfourier import cli
+from qgfourier import cli, exchange, fixtures
 
 
 def run(capsys, *argv):
@@ -138,3 +144,99 @@ def test_check_reports_are_jsonl(capsys):
     for line in out.strip().splitlines():
         rec = json.loads(line)
         assert "summary" in rec or rec["status"] in ("pass", "fail", "skip")
+
+
+# -- input contract -----------------------------------------------------------
+
+
+def run_cli(argv):
+    """Exit code and stderr of one in-process run; argparse errors exit via SystemExit."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fourier", "--builtin", "Z2", "--element", '[1,"abc"]'],
+        ["fourier", "--builtin", "Z2", "--element", '[{"order":1},1]'],
+        ["padic", "eval", "--prime", "4", "12"],
+        ["padic", "norm", "--prime", "4", "3*4^-1"],
+        ["padic", "norm", "--prime", "2", "1*2^-99999"],
+        ["check", "--suite", "padic", "--prime", "4"],
+        ["fourier", "--padic", "--prime", "1", "--ball", "1^1*Zp"],
+        ["padic", "eval", "--prime", ",", "12"],
+    ],
+)
+def test_bad_input_exits_2(argv):
+    code, err = run_cli(argv)
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-9, 9) | st.floats(width=16) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["order", "coeffs", "values", "coords", "x"]), inner, max_size=3),
+    max_leaves=8,
+)
+
+FUZZ = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@FUZZ
+@given(element=JSON, inverse=st.booleans())
+def test_fuzz_fourier_element(element, inverse):
+    argv = ["fourier", "--builtin", "Z2", "--element", json.dumps(element)] + ["--inverse"] * inverse
+    code, err = run_cli(argv)
+    assert code in (0, 1, 2, 3) and "Traceback" not in err
+
+
+@FUZZ
+@given(
+    op=st.sampled_from(["eval", "norm"]),
+    prime=st.integers(-3, 10**6),
+    literal=st.sampled_from(["12", "101.01", "3*4^-1", "1*5^-2+3", "1*2^-9999", "x"]),
+)
+def test_fuzz_padic_prime(op, prime, literal):
+    code, err = run_cli(["padic", op, "--prime", str(prime), literal])
+    assert code in (0, 1, 2, 3) and "Traceback" not in err
+
+
+_EXCHANGE = exchange.qgroup_to_obj(fixtures.function_algebra(fixtures.FiniteGroupTable.builtin("Z2")))
+
+
+@FUZZ
+@given(
+    key=st.sampled_from(sorted(_EXCHANGE)),
+    how=st.sampled_from(["delete", "replace", "replace-item", "append-item"]),
+    index=st.integers(0, 7),
+    value=JSON,
+)
+def test_fuzz_dual_input(key, how, index, value):
+    obj = json.loads(json.dumps(_EXCHANGE))
+    target = obj[key]
+    if how == "delete":
+        del obj[key]
+    elif how == "replace" or not isinstance(target, list):
+        obj[key] = value
+    elif how == "append-item":
+        target.append(value)
+    elif target:
+        # replace one item, or one entry of a row/triple when the item is a list
+        item = target[index % len(target)]
+        if isinstance(item, list) and item:
+            item[index % len(item)] = value
+        else:
+            target[index % len(target)] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "qg.json")
+        with open(path, "w") as fh:
+            json.dump(obj, fh)
+        code, err = run_cli(["dual", "--input", path])
+    assert code in (0, 1, 2, 3) and "Traceback" not in err

@@ -26,6 +26,78 @@ def test_axiom_checker_catches_corruption():
     assert any(r.case == "associativity" or r.case == "star antihomomorphism" for r in reports if not r.ok)
 
 
+AXIOM_CASES = [
+    "associativity",
+    "unit law",
+    "coassociativity",
+    "counit law",
+    "antipode law",
+    "left invariance",
+    "right invariance",
+    "faithfulness of phi",
+    "faithfulness of psi",
+    "star involution",
+    "star antihomomorphism",
+    "coproduct *-homomorphism",
+    "S*S* = id",
+]
+
+# one corrupted entry of Fun(S3) per identity family, and the first witness
+# of every identity it breaks
+CORRUPTIONS = {
+    "mult": (
+        lambda A: A.mult[1][2].__setitem__(0, Fraction(1)),
+        {
+            "associativity": "basis (0,1,2)",
+            "unit law": "basis 1",
+            "antipode law": "basis 4",
+            "star antihomomorphism": "basis (1,2)",
+        },
+    ),
+    "comult": (
+        lambda A: A.comult[3].append((0, 0, Fraction(1))),
+        {
+            "coassociativity": "basis 0",
+            "counit law": "basis 3",
+            "antipode law": "basis 3",
+            "left invariance": "basis 3",
+            "right invariance": "basis 3",
+        },
+    ),
+    "counit": (
+        lambda A: A.counit.__setitem__(2, Fraction(1)),
+        {"counit law": "basis 0", "antipode law": "basis 2"},
+    ),
+    "antipode": (
+        lambda A: A.antipode[4].__setitem__(4, Fraction(1)),
+        {"antipode law": "basis 3", "S*S* = id": "basis 3"},
+    ),
+    "star": (
+        lambda A: A.star[5].__setitem__(1, Fraction(1)),
+        {
+            "star involution": "basis 5",
+            "star antihomomorphism": "basis (1,5)",
+            "coproduct *-homomorphism": "basis 0",
+            "S*S* = id": "basis 5",
+        },
+    ),
+    "integral": (
+        lambda A: A.left_integral.__setitem__(0, Fraction(0)),
+        {"left invariance": "basis 0", "faithfulness of phi": "singular Gram matrix"},
+    ),
+}
+
+
+@pytest.mark.parametrize("family", CORRUPTIONS)
+def test_corruption_reports_first_witness(family):
+    corrupt, failing = CORRUPTIONS[family]
+    A = fixtures.function_algebra(fixtures.FiniteGroupTable.builtin("S3"))
+    corrupt(A)
+    got = [(r.case, r.status, r.witness) for r in core.verify_axioms(A)]
+    want = [(c, "fail", failing[c]) if c in failing else (c, "pass", None) for c in AXIOM_CASES]
+    assert got == want
+
+
 def test_fourier_inversion_round_trip():
     A = fixtures.sweedler_fixture()
     rng = random.Random(7)

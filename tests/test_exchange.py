@@ -37,3 +37,24 @@ def test_float_values_refuse_to_serialize():
     A = fixtures.function_algebra(fixtures.FiniteGroupTable.builtin("Z2"), FLOAT)
     with pytest.raises(ValueError):
         exchange.qgroup_to_obj(A)
+
+
+def _resize(obj, d):
+    obj["dim"], obj["labels"] = d, [str(i) for i in range(d)]
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda obj: _resize(obj, 1),  # tensors index past dim
+        lambda obj: _resize(obj, 3),  # tensors shorter than dim
+        lambda obj: obj["comult"].append([0, 2, 0, obj["comult"][0][3]]),
+        lambda obj: obj["mult"].append([0, -1, 0, obj["mult"][0][3]]),
+    ],
+    ids=["dim-too-small", "dim-too-large", "triple-out-of-range", "negative-index"],
+)
+def test_shape_mismatch_is_a_value_error(mutate):
+    obj = exchange.qgroup_to_obj(fixtures.function_algebra(fixtures.FiniteGroupTable.builtin("Z2")))
+    mutate(obj)
+    with pytest.raises(ValueError):
+        exchange.qgroup_from_obj(obj)

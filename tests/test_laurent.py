@@ -78,3 +78,12 @@ def test_type_certificates():
     assert any("no nonzero cointegral" in c for c in cases)
     assert any("KZ has cointegral" in c for c in cases)
     assert any("KZ has no unit" in c for c in cases)
+
+
+def test_certificate_helpers_find_the_other_side():
+    # the helpers that certify "no cointegral on CZ" and "no unit on KZ"
+    # find delta_0 and e_0 on the other side of the pair
+    assert laurent._cointegrals(laurent.CZ, EXACT) == []
+    assert laurent._cointegrals(laurent.KZ, EXACT) == [d(0)]
+    assert laurent._unit(laurent.CZ, EXACT) == e(0)
+    assert laurent._unit(laurent.KZ, EXACT) is None
