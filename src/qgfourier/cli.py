@@ -158,12 +158,12 @@ def cmd_fourier(args) -> int:
                     f = exchange.schwartz_from_obj(json.load(fh))
             else:
                 raise CliError("--padic needs --ball or --schwartz", EXIT_INPUT_ERROR)
-        except padic.ParseError as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:  # ParseError is a ValueError
             raise CliError(str(exc), EXIT_INPUT_ERROR)
         g = padic.padic_fourier(f)
         if args.inverse:
             # inverse transform: reflect after transforming (self-dual measure)
-            g = _reflect(padic.padic_fourier(f))
+            g = _reflect(g)
         _emit(exchange.schwartz_to_obj(g), args.output)
         return 0
 

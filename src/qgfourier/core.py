@@ -8,6 +8,10 @@ and its inverse, convolution, the Plancherel identity, cointegrals, the
 compact/discrete type classification, group-like projections and the
 modular element.
 
+The dual is the transposed structure (product and coproduct exchanged,
+unit and counit exchanged, on the basis dual to a_i) re-expressed by
+``transport`` on the basis w_i = phi(. a_i).
+
 Conventions (basis a_0 .. a_{d-1}):
   mult[i][j][k]            a_i a_j = sum_k mult[i][j][k] a_k
   comult[i] = [(j,k,c)..]  coproduct(a_i) = sum c a_j (x) a_k
@@ -318,7 +322,8 @@ def _tensors_eq(be, t1, t2):
         else:
             yield t
 
-    return all(be.is_zero(a - b) for a, b in zip(flat(t1), flat(t2)))
+    f1, f2 = list(flat(t1)), list(flat(t2))
+    return len(f1) == len(f2) and all(be.is_zero(a - b) for a, b in zip(f1, f2))
 
 
 def _associativity(A):
@@ -472,94 +477,54 @@ def verify_axioms(A: FiniteQuantumGroup) -> list:
 # dual construction
 
 
-def build_dual(A: FiniteQuantumGroup) -> DualResult:
-    """The dual quantum group on the basis w_i = phi(. a_i)."""
-    if A.unit is None:
-        raise StructureError("the dual construction needs a unit")
+def _transpose(A: FiniteQuantumGroup) -> FiniteQuantumGroup:
+    """The dual of A on the basis e^0 .. e^{d-1} dual to a_0 .. a_{d-1}.
+
+    Every structure map is the transpose of its partner: the product is dual
+    to the coproduct and the coproduct to the product, counit and unit swap,
+    the antipode is the transpose of S and w*(a) = conj(w(S(a)*)).  The right
+    integral sends phi(. a) to eps(a), the left one psi(b .) to eps(b).
+    """
     be = A.backend
     d = A.dim
-    P = A.gram_phi()
     try:
-        Q = linalg.inverse(P, be)
+        gram_phi_inv = linalg.inverse(A.gram_phi(), be)
     except linalg.SingularMatrixError as exc:
         raise FaithfulnessError("left integral is not faithful") from exc
-
-    def functional_to_coords(values):
-        # w = sum_k coeff_k w_k has values w(a_m) = sum_k P[m][k] coeff_k
-        return linalg.mat_vec(Q, values)
-
-    # product dual to the coproduct
-    mult_hat = []
-    for i in range(d):
-        plane = []
-        for j in range(d):
-            values = []
-            for x in range(d):
-                acc = A.zero_scalar()
-                for a, b, c in A.comult[x]:
-                    acc = acc + c * P[a][i] * P[b][j]
-                values.append(acc)
-            plane.append(functional_to_coords(values))
-        mult_hat.append(plane)
-
-    # coproduct dual to the product: T_i = w_i(a_x a_y) = (P C P^T)[x][y]
-    comult_hat = []
-    for i in range(d):
-        T = [[sum(A.mult[x][y][k] * P[k][i] for k in range(d)) for y in range(d)] for x in range(d)]
-        C = linalg.mat_mul(linalg.mat_mul(Q, T), linalg.transpose(Q))
-        terms = [(j, k, C[j][k]) for j in range(d) for k in range(d) if not be.is_zero(C[j][k])]
-        comult_hat.append(terms)
-
-    counit_hat = [sum(A.unit[m] * P[m][i] for m in range(d)) for i in range(d)]
-
-    antipode_hat = []
-    for i in range(d):
-        values = [sum(A.antipode[m][k] * P[k][i] for k in range(d)) for m in range(d)]
-        antipode_hat.append(functional_to_coords(values))
-
-    star_hat = None
+    try:
+        gram_psi_t_inv = linalg.inverse(linalg.transpose(A.gram_psi()), be)
+    except linalg.SingularMatrixError as exc:
+        raise FaithfulnessError("right integral is not faithful") from exc
+    coproducts = [A.comult_dense(_basis(d, k)) for k in range(d)]
+    star = None
     if A.is_star:
-        star_hat = []
-        for i in range(d):
-            values = []
-            for m in range(d):
-                acc = A.zero_scalar()
-                for k in range(d):
-                    for l in range(d):
-                        acc = acc + A.antipode[m][k] * be.conj(A.star[k][l]) * be.conj(P[l][i])
-                values.append(acc)
-            star_hat.append(functional_to_coords(values))
-
-    unit_hat = functional_to_coords(list(A.counit))
-
-    # right integral on the dual: psi_hat(w_i) = eps(a_i)
-    psi_hat = list(A.counit)
-
-    # left integral on the dual: phi_hat(w_i) = eps(b_i) where w_i = psi(b_i .)
-    Ppsi = A.gram_psi()
-    phi_hat = []
-    for i in range(d):
-        col = [P[m][i] for m in range(d)]
-        try:
-            b = linalg.solve(linalg.transpose(Ppsi), col, be)
-        except linalg.SingularMatrixError as exc:
-            raise FaithfulnessError("right integral is not faithful") from exc
-        phi_hat.append(sum(bc * e for bc, e in zip(b, A.counit)))
-
-    dual = FiniteQuantumGroup(
+        star = linalg.transpose([[be.conj(x) for x in A.star_coords(row)] for row in A.antipode])
+    return FiniteQuantumGroup(
         dim=d,
-        basis_labels=["w[%s]" % lbl for lbl in A.basis_labels],
-        mult=mult_hat,
-        comult=comult_hat,
-        counit=counit_hat,
-        antipode=antipode_hat,
-        star=star_hat,
-        unit=unit_hat,
-        left_integral=phi_hat,
-        right_integral=psi_hat,
+        basis_labels=list(A.basis_labels),
+        mult=[[[coproducts[k][i][j] for k in range(d)] for j in range(d)] for i in range(d)],
+        comult=[
+            [(i, j, A.mult[i][j][k]) for i in range(d) for j in range(d) if not be.is_zero(A.mult[i][j][k])]
+            for k in range(d)
+        ],
+        counit=A.unit,
+        antipode=linalg.transpose(A.antipode),
+        star=star,
+        unit=A.counit,
+        left_integral=linalg.vec_mat(A.counit, gram_psi_t_inv),
+        right_integral=linalg.vec_mat(A.counit, gram_phi_inv),
         backend=be,
-        name="dual(%s)" % A.name,
+        name=A.name,
     )
+
+
+def build_dual(A: FiniteQuantumGroup) -> DualResult:
+    """The dual quantum group on the basis w_i = phi(. a_i) = sum_k P[k][i] e^k."""
+    if A.unit is None:
+        raise StructureError("the dual construction needs a unit")
+    P = A.gram_phi()
+    dual = transport(_transpose(A), linalg.transpose(P), name="dual(%s)" % A.name)
+    dual.basis_labels = ["w[%s]" % lbl for lbl in A.basis_labels]
     return DualResult(dual=dual, pairing=P)
 
 

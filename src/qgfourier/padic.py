@@ -362,18 +362,13 @@ def subgroup_indicator(p: int, n: int, backend: Backend = EXACT) -> SchwartzFunc
     return indicator(Ball.zp(p, n), backend)
 
 
-def canonicalize(f: SchwartzFunction) -> SchwartzFunction:
-    """Drop zero cells (done on construction); keeps the stored level."""
-    return SchwartzFunction(f.p, f.level, dict(f.cells), f.backend)
-
-
 def schwartz_add(f: SchwartzFunction, g: SchwartzFunction) -> SchwartzFunction:
     f._chk(g)
     # adding zero must not force a refinement to the zero's stored level
     if not f.cells:
-        return canonicalize(g)
+        return g
     if not g.cells:
-        return canonicalize(f)
+        return f
     lvl = max(f.level, g.level)
     a, b = f.refined(lvl), g.refined(lvl)
     out = dict(a.cells)

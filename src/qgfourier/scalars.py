@@ -380,5 +380,19 @@ def scalar_to_obj(s):
     return {"order": s.order, "coeffs": [[c.numerator, c.denominator] for c in s.coeffs]}
 
 
+# The largest order an exchanged scalar may have.  Building Phi_n costs one
+# dense polynomial product per divisor of n, so orders with several distinct
+# prime factors are slow: on a 2-CPU machine Phi_2310 took about 3 s and
+# Phi_30030 was still running after 20 s, while every n <= 1024 took under
+# 0.4 s.  1024 admits every order the package produces in practice: at most
+# 81 in the check suites, 729 in the benchmark, and the zeta_1024 values of
+# the 2^-5 + 2^5 Zp ball transform.  Finer p-adic transforms write larger
+# orders, which cannot be read back.
+MAX_ORDER = 1024
+
+
 def scalar_from_obj(obj) -> Cyclotomic:
-    return Cyclotomic(obj["order"], [Fraction(n, d) for n, d in obj["coeffs"]])
+    order = obj["order"]
+    if order > MAX_ORDER:
+        raise ValueError("scalar order %s exceeds %d" % (order, MAX_ORDER))
+    return Cyclotomic(order, [Fraction(n, d) for n, d in obj["coeffs"]])

@@ -5,12 +5,15 @@ import io
 import json
 import os
 import tempfile
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qgfourier import cli, exchange, fixtures
+from qgfourier import cli, exchange, fixtures, padic
+from qgfourier.scalars import zeta
 
 
 def run(capsys, *argv):
@@ -49,6 +52,19 @@ def test_padic_eval_round_trip(capsys):
 def test_padic_parse_error_exits_2(capsys):
     code, _, err = run(capsys, "padic", "norm", "--prime", "5", "9*5^1")
     assert code == 2 and "error" in err
+
+
+def test_fourier_padic_inverse_recovers_schwartz_file(tmp_path, capsys):
+    f = padic.SchwartzFunction(3, 1, {Fraction(1, 3): zeta(9, 2), Fraction(2): Fraction(-5, 7)})
+    transformed = tmp_path / "Ff.json"
+    transformed.write_text(json.dumps(exchange.schwartz_to_obj(padic.padic_fourier(f))))
+    out_file = tmp_path / "f.json"
+    code, _, _ = run(
+        capsys, "fourier", "--padic", "--prime", "3", "--inverse",
+        "--schwartz", str(transformed), "--output", str(out_file),
+    )
+    assert code == 0
+    assert exchange.schwartz_from_obj(json.loads(out_file.read_text())) == f
 
 
 # -- laurent pair -------------------------------------------------------------
@@ -177,6 +193,22 @@ def test_bad_input_exits_2(argv):
     code, err = run_cli(argv)
     assert code == 2
     assert "error:" in err and "Traceback" not in err
+
+
+def test_large_scalar_order_exits_2_quickly(tmp_path):
+    # building Phi_30030 (six distinct prime factors) ran past 20 s, so the
+    # order must be refused before any arithmetic
+    big = {"order": 30030, "coeffs": [[1, 1]]}
+    schwartz = tmp_path / "f.json"
+    schwartz.write_text(json.dumps({"p": 2, "level": 0, "cells": [{"center": "0", "value": big}]}))
+    for argv in (
+        ["fourier", "--builtin", "Z2", "--element", json.dumps([big, 1])],
+        ["fourier", "--padic", "--prime", "2", "--schwartz", str(schwartz)],
+    ):
+        start = time.perf_counter()
+        code, err = run_cli(argv)
+        assert time.perf_counter() - start < 2
+        assert code == 2 and "error:" in err and "30030" in err
 
 
 JSON = st.recursive(

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qgfourier import core, fixtures
+from qgfourier import core, fixtures, linalg
 from qgfourier.report import passed
 from qgfourier.scalars import EXACT, FLOAT
 
@@ -128,6 +128,46 @@ def test_dual_of_group_algebra_is_function_algebra():
 def test_dual_axioms_hold():
     for name, A in FIXTURES:
         assert passed(core.verify_axioms(core.build_dual(A).dual)), name
+
+
+@pytest.mark.parametrize("name", ["H4", "C[S3]"])
+def test_dual_on_dense_gram_matrix(name):
+    # every standard fixture's Gram matrix is a permutation or diagonal
+    # matrix; on the basis b_x = a_x + sum_i a_i every entry is nonzero
+    base = dict(FIXTURES)[name]
+    d = base.dim
+    A = core.transport(base, [[2 if x == i else 1 for i in range(d)] for x in range(d)])
+    assert all(x != 0 for row in A.gram_phi() for x in row)
+    d1 = core.build_dual(A)
+    assert passed(core.verify_axioms(d1.dual))
+    d2 = core.build_dual(d1.dual)
+    # a_k -> evaluation at a_k has bidual coordinates M = P (P_hat^T)^-1
+    M = linalg.mat_mul(d1.pairing, linalg.inverse(linalg.transpose(d2.pairing)))
+    assert core.tensors_equal(core.transport(d2.dual, M), A)
+
+
+def test_dual_refuses_missing_unit_and_unfaithful_integrals():
+    def fun_s3(**changes):
+        A = fixtures.function_algebra(fixtures.FiniteGroupTable.builtin("S3"))
+        for attr, value in changes.items():
+            setattr(A, attr, value)
+        return A
+
+    with pytest.raises(core.StructureError, match="needs a unit"):
+        core.build_dual(fun_s3(unit=None))
+    with pytest.raises(core.FaithfulnessError, match="left integral"):
+        core.build_dual(fun_s3(left_integral=[Fraction(0)] * 6))
+    with pytest.raises(core.FaithfulnessError, match="right integral"):
+        core.build_dual(fun_s3(right_integral=[Fraction(0)] * 6))
+
+
+def test_tensor_comparison_needs_equal_lengths():
+    assert not core._tensors_eq(EXACT, [1, 2], [1])
+    A = fixtures.function_algebra(fixtures.FiniteGroupTable.builtin("Z2"))
+    B = fixtures.function_algebra(fixtures.FiniteGroupTable.builtin("Z2"))
+    assert core.tensors_equal(A, B)
+    B.counit.append(Fraction(0))
+    assert not core.tensors_equal(A, B)
 
 
 def test_convolution_matches_classical_formula():
