@@ -156,6 +156,8 @@ def cmd_fourier(args) -> int:
             elif args.schwartz:
                 with open(args.schwartz) as fh:
                     f = exchange.schwartz_from_obj(json.load(fh))
+                if f.p != p:
+                    raise CliError("--prime %d disagrees with the file's p = %s" % (p, f.p), EXIT_INPUT_ERROR)
             else:
                 raise CliError("--padic needs --ball or --schwartz", EXIT_INPUT_ERROR)
         except (OSError, KeyError, TypeError, ValueError) as exc:  # ParseError is a ValueError

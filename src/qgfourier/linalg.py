@@ -5,6 +5,10 @@ in row order (no magnitude heuristics; the exact backend divides exactly, so
 pivot choice only affects the float backend marginally).  Matrices are lists
 of lists of backend scalars; dimensions stay tiny (<= ~36 rows) throughout
 the package, so no effort is spent on asymptotics.
+
+The products skip exact-zero entries: structure tensors and basis vectors
+are mostly zeros, and every zero skipped is a multiplication and an addition
+saved.
 """
 
 from __future__ import annotations
@@ -95,16 +99,25 @@ def nullspace(a, backend=EXACT):
     return basis
 
 
+def _support(v):
+    """Indices of v's nonzero entries.  If there are none, the first index, so
+    that a product with an all-zero v is a zero of the operands' kind (a
+    complex zero on the float backend, not the int 0 of an empty sum)."""
+    return [k for k, x in enumerate(v) if x != 0] or ([0] if v else [])
+
+
 def mat_mul(a, b):
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))] for i in range(len(a))]
+    return [vec_mat(row, b) for row in a]
 
 
 def mat_vec(a, v):
-    return [sum(a[i][k] * v[k] for k in range(len(v))) for i in range(len(a))]
+    ks = _support(v)
+    return [sum(row[k] * v[k] for k in ks) for row in a]
 
 
 def vec_mat(v, a):
-    return [sum(v[k] * a[k][j] for k in range(len(v))) for j in range(len(a[0]))]
+    terms = [(v[k], a[k]) for k in _support(v)]
+    return [sum(x * row[j] for x, row in terms) for j in range(len(a[0]))]
 
 
 def transpose(a):

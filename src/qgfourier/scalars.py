@@ -8,8 +8,12 @@ vectors once orders are unified.  Orders are never minimized after
 arithmetic; equality always unifies first.
 
 Rational coefficients are ``fractions.Fraction`` (already normalized with
-positive denominator).  The float backend uses plain ``complex`` with a
-tolerance for zero tests.
+positive denominator).  Rational values on the exact path stay plain
+``Fraction`` objects, never order-1 ``Cyclotomic``s: the exact backend passes
+a ``Fraction`` through unchanged, turns a small integer into one shared
+``Fraction`` object, and an exchanged scalar of order 1 reads back as its
+rational value.  The float backend uses plain ``complex`` with a tolerance
+for zero tests.
 """
 
 from __future__ import annotations
@@ -308,6 +312,19 @@ def unify_order(a: Cyclotomic, b: Cyclotomic):
 # backend with complex.
 
 
+# One shared Fraction per small integer: the fixtures' structure constants and
+# the suites' random coordinates are integers in [-3, 3].
+_SMALL = {n: Fraction(n) for n in range(-16, 17)}
+
+
+def _rational(q):
+    """q (an int or a Fraction) as a Fraction, shared if a small integer."""
+    shared = _SMALL.get(q)
+    if shared is not None:
+        return shared
+    return q if isinstance(q, Fraction) else Fraction(q)
+
+
 class Backend:
     def __init__(self, name, tolerance=0.0):
         self.name = name
@@ -319,8 +336,10 @@ class Backend:
 
     def normalize(self, s):
         if self.exact:
-            if isinstance(s, Cyclotomic):
+            if isinstance(s, (Cyclotomic, Fraction)):
                 return s
+            if type(s) is int:
+                return _rational(s)
             return Fraction(s)
         if isinstance(s, Cyclotomic):
             return s.numeric_value()
@@ -391,8 +410,14 @@ def scalar_to_obj(s):
 MAX_ORDER = 1024
 
 
-def scalar_from_obj(obj) -> Cyclotomic:
+def scalar_from_obj(obj):
+    """The scalar an object of scalar_to_obj describes: a Fraction at order 1
+    (zeta_1 = 1, so the value is the sum of the coefficients), else a
+    Cyclotomic."""
     order = obj["order"]
     if order > MAX_ORDER:
         raise ValueError("scalar order %s exceeds %d" % (order, MAX_ORDER))
-    return Cyclotomic(order, [Fraction(n, d) for n, d in obj["coeffs"]])
+    coeffs = [Fraction(n, d) for n, d in obj["coeffs"]]
+    if order == 1:
+        return _rational(sum(coeffs, _ZERO))
+    return Cyclotomic(order, coeffs)

@@ -67,6 +67,15 @@ def test_fourier_padic_inverse_recovers_schwartz_file(tmp_path, capsys):
     assert exchange.schwartz_from_obj(json.loads(out_file.read_text())) == f
 
 
+def test_fourier_padic_prime_must_match_schwartz_file(tmp_path, capsys):
+    schwartz = tmp_path / "f.json"
+    schwartz.write_text(json.dumps(exchange.schwartz_to_obj(padic.subgroup_indicator(2, 1))))
+    code, out, err = run(capsys, "fourier", "--padic", "--prime", "3", "--schwartz", str(schwartz))
+    assert code == 2 and out == "" and "error:" in err and "p = 2" in err
+    code, out, _ = run(capsys, "fourier", "--padic", "--prime", "2", "--schwartz", str(schwartz))
+    assert code == 0 and json.loads(out)["p"] == 2
+
+
 # -- laurent pair -------------------------------------------------------------
 
 

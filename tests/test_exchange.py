@@ -6,15 +6,43 @@ from fractions import Fraction
 import pytest
 
 from qgfourier import core, exchange, fixtures, padic
-from qgfourier.scalars import FLOAT, scalar_from_obj, zeta
+from qgfourier.scalars import FLOAT, Cyclotomic, scalar_from_obj, zeta
+
+
+def _reload(A):
+    return exchange.qgroup_from_obj(json.loads(exchange.dumps(exchange.qgroup_to_obj(A))))
+
+
+def _scalars(A):
+    yield from (x for plane in A.mult for row in plane for x in row)
+    yield from (c for terms in A.comult for _, _, c in terms)
+    yield from (x for row in A.antipode + (A.star or []) for x in row)
+    yield from A.counit + (A.unit or []) + A.left_integral + A.right_integral
 
 
 def test_quantum_group_round_trip():
     for name, A in fixtures.standard_fixtures():
-        obj = json.loads(exchange.dumps(exchange.qgroup_to_obj(A)))
-        back = exchange.qgroup_from_obj(obj)
-        assert core.tensors_equal(back, A), name
+        back = _reload(A)
+        assert core.tensors_equal(back, A) and core.tensors_equal(A, back), name
         assert back.name == A.name
+        # every fixture is rational, so the reloaded group holds Fractions only
+        assert not [x for x in _scalars(back) if isinstance(x, Cyclotomic)], name
+
+
+def test_reloaded_group_does_no_cyclotomic_arithmetic(monkeypatch):
+    G = fixtures.FiniteGroupTable.product(fixtures.FiniteGroupTable.cyclic(3), fixtures.FiniteGroupTable.cyclic(3))
+    A = _reload(fixtures.function_algebra(G))
+    built = []
+    init = Cyclotomic.__init__
+
+    def counting_init(self, order, coeffs):
+        built.append(order)
+        init(self, order, coeffs)
+
+    monkeypatch.setattr(Cyclotomic, "__init__", counting_init)
+    assert all(r.ok for r in core.verify_axioms(A))
+    core.build_dual(A)
+    assert built == []
 
 
 def test_element_and_functional_round_trip():

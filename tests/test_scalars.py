@@ -125,7 +125,7 @@ def test_serialization_round_trip():
     a = zeta(12, 5) + Fraction(3, 7)
     assert scalar_from_obj(scalar_to_obj(a)) == a
     q = Fraction(-2, 9)
-    assert scalar_from_obj(scalar_to_obj(q)) == Cyclotomic.from_rational(q)
+    assert scalar_from_obj(scalar_to_obj(q)) == Cyclotomic.from_rational(q) == q
 
 
 def test_backends():
@@ -138,3 +138,39 @@ def test_backends():
     assert loose.is_zero(0.1)
     with pytest.raises(ValueError):
         backend_by_name("symbolic")
+
+
+@pytest.mark.parametrize(
+    "coeffs, value",
+    [
+        ([[1, 2], [1, 3]], Fraction(5, 6)),  # zeta_1 = 1: the sum of the coefficients
+        ([[3, 1]], Fraction(3)),
+        ([[1, 2], [-1, 2]], Fraction(0)),
+        ([[-7, 4], [2, 1], [1, 4]], Fraction(1, 2)),
+        ([], Fraction(0)),
+    ],
+)
+def test_order_one_objects_read_back_as_rationals(coeffs, value):
+    s = scalar_from_obj({"order": 1, "coeffs": coeffs})
+    assert type(s) is Fraction and s == value
+    assert s == Cyclotomic(1, [Fraction(n, d) for n, d in coeffs])
+    # a Fraction and an order-1 Cyclotomic write the same bytes
+    assert scalar_to_obj(s) == scalar_to_obj(Cyclotomic.from_rational(value))
+
+
+@pytest.mark.parametrize(
+    "coeffs, error",
+    [([[1, 0]], ZeroDivisionError), ([[1.5, 2]], TypeError), ([["1", 2]], TypeError), ([[1]], ValueError)],
+    ids=["zero-denominator", "float-entry", "string-entry", "short-pair"],
+)
+def test_malformed_order_one_objects_raise(coeffs, error):
+    with pytest.raises(error):
+        scalar_from_obj({"order": 1, "coeffs": coeffs})
+
+
+def test_exact_normalize_shares_rationals():
+    q = Fraction(2, 3)
+    assert EXACT.normalize(q) is q
+    assert EXACT.normalize(-3) is EXACT.normalize(-3) is scalar_from_obj({"order": 1, "coeffs": [[-3, 1]]})
+    assert EXACT.normalize(10**6) == Fraction(10**6)
+    assert EXACT.normalize(0.5) == Fraction(1, 2)
