@@ -202,7 +202,7 @@ def cmd_check(args) -> int:
     for r in reports:
         counts[r.status] += 1
         rec = {"suite": r.suite, "case": r.case, "status": r.status}
-        if r.witness is not None and r.status == "fail":
+        if not r.ok:
             rec["witness"] = r.witness
         if args.timings:
             rec["elapsed_ms"] = r.elapsed_ms

@@ -28,7 +28,7 @@ from itertools import product
 from typing import Optional
 
 from . import linalg
-from .report import check, make_report
+from .report import check
 from .scalars import EXACT, Backend
 
 
@@ -571,26 +571,27 @@ def transport(A: FiniteQuantumGroup, M, name=None) -> FiniteQuantumGroup:
 
 
 def tensors_equal(A: FiniteQuantumGroup, B: FiniteQuantumGroup) -> bool:
-    """Structure-tensor equality (same dimension and backend assumed)."""
+    """Structure-tensor equality (same backend assumed)."""
+    return next(tensor_differences(A, B), None) is None
+
+
+def tensor_differences(A: FiniteQuantumGroup, B: FiniteQuantumGroup):
+    """The structure tensors in which A and B differ, first difference first:
+    the dimension, mult, comult at basis i, counit, and so on."""
     if A.dim != B.dim:
-        return False
+        yield "dimension %d != %d" % (A.dim, B.dim)
+        return
     be = A.backend
     d = A.dim
     if not _tensors_eq(be, A.mult, B.mult):
-        return False
+        yield "mult"
     for i in range(d):
         if not _tensors_eq(be, A.comult_dense(_basis(d, i)), B.comult_dense(_basis(d, i))):
-            return False
-    pairs = [(A.counit, B.counit), (A.antipode, B.antipode), (A.left_integral, B.left_integral), (A.right_integral, B.right_integral)]
-    if A.unit is not None or B.unit is not None:
-        if (A.unit is None) != (B.unit is None):
-            return False
-        pairs.append((A.unit, B.unit))
-    if A.is_star != B.is_star:
-        return False
-    if A.is_star:
-        pairs.append((A.star, B.star))
-    return all(_tensors_eq(be, x, y) for x, y in pairs)
+            yield "comult at basis %d" % i
+    for name in ("counit", "antipode", "left_integral", "right_integral", "unit", "star"):
+        x, y = getattr(A, name), getattr(B, name)
+        if (x is None) != (y is None) or (x is not None and not _tensors_eq(be, x, y)):
+            yield name.replace("_", " ")
 
 
 # ---------------------------------------------------------------------------
@@ -670,18 +671,12 @@ def plancherel_check(A: FiniteQuantumGroup, a: Element, check_positivity=True, t
     w = fourier(A, a)
     lhs = psi_hat(A, w.star() * w)
     rhs = A.phi_of((a.star() * a).coords)
-    reports = [
-        make_report(
-            suite,
-            "psi_hat(w*w) = phi(a*a)",
-            A.backend.is_zero(lhs - rhs),
-            "lhs=%r rhs=%r" % (lhs, rhs),
-        )
-    ]
+    unequal = not A.backend.is_zero(lhs - rhs)
+    reports = [check(suite, "psi_hat(w*w) = phi(a*a)", ["lhs=%r rhs=%r" % (lhs, rhs)] if unequal else [])]
     if check_positivity:
         z = A.backend.to_complex(rhs)
-        ok = z.real >= -tolerance and abs(z.imag) <= tolerance
-        reports.append(make_report(suite, "phi(a*a) numerically positive", ok, "value=%r" % (z,)))
+        negative = z.real < -tolerance or abs(z.imag) > tolerance
+        reports.append(check(suite, "phi(a*a) numerically positive", ["value=%r" % (z,)] if negative else []))
     return reports
 
 
@@ -740,28 +735,37 @@ def dual_type_check(A: FiniteQuantumGroup) -> list:
 
 def is_group_like_projection(A: FiniteQuantumGroup, h: Element) -> bool:
     """h != 0, h^2 = h = h*, and coproduct(h)(1 (x) h) = h (x) h, all exact."""
+    return next(group_like_failures(A, h), None) is None
+
+
+def group_like_failures(A: FiniteQuantumGroup, h: Element):
+    """The group-like identities h breaks, first one first: h = 0, h^2 != h,
+    h* != h, or a row where coproduct(h)(1 (x) h) differs from h (x) h."""
     if not A.is_star:
         raise StructureError("group-like projections need a *-structure")
     if h.owner is not A:
         raise OwnerMismatchError("element does not belong to this quantum group")
     be = A.backend
     if h.is_zero():
-        return False
-    if not (h * h == h and h.star() == h):
-        return False
+        yield "h = 0"
+        return
+    if not h * h == h:
+        yield "h^2 != h"
+    if not h.star() == h:
+        yield "h* != h"
     d = A.dim
     D = A.comult_dense(h.coords)
-    # (a_j (x) a_k)(1 (x) h) = a_j (x) a_k h
-    lhs = [[A.zero_scalar()] * d for _ in range(d)]
     for j in range(d):
+        # row j of (a_j (x) a_k)(1 (x) h) = a_j (x) a_k h, summed over k
+        row = [A.zero_scalar()] * d
         for k in range(d):
             if be.is_zero(D[j][k]):
                 continue
             prod = A.mul_coords(_basis(d, k), h.coords)
             for l in range(d):
-                lhs[j][l] = lhs[j][l] + D[j][k] * prod[l]
-    rhs = [[hj * hl for hl in h.coords] for hj in h.coords]
-    return _tensors_eq(be, lhs, rhs)
+                row[l] = row[l] + D[j][k] * prod[l]
+        if not _tensors_eq(be, row, [h.coords[j] * hl for hl in h.coords]):
+            yield "coproduct(h)(1 (x) h) differs from h (x) h in row %d" % j
 
 
 def fourier_group_like(A: FiniteQuantumGroup, h: Element) -> Functional:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 
-from .report import make_report
+from .report import check
 from .scalars import EXACT, Backend, Cyclotomic, zeta
 
 
@@ -466,14 +466,22 @@ def padic_fourier_oracle_value(f: SchwartzFunction, y, extra_levels: int = 2) ->
 # group-like projection suite
 
 
-def _grouplike_coproduct_holds(f: SchwartzFunction) -> bool:
-    """Check coproduct(f)(1 (x) f) = f (x) f pointwise on a cell grid:
-    f(x+y) f(y) = f(x) f(y) for one sample per cell.
+def _group_like_failures(f: SchwartzFunction):
+    """The group-like identities f breaks, first one first: f = 0, f^2 != f,
+    conj(f) != f, or a point (x, y) where coproduct(f)(1 (x) f) = f (x) f
+    fails, that is f(x+y) f(y) != f(x) f(y), one sample per cell.
 
     Both sides are level-m locally constant in each variable and vanish
     unless y lies in the support window, so a grid of coset representatives
     of p^(n-1) Zp mod p^m Zp (one extra margin level) is exhaustive.
     """
+    if f.is_zero():
+        yield "f = 0"
+        return
+    if not schwartz_mul(f, f) == f:
+        yield "f^2 != f"
+    if not f.conjugate() == f:
+        yield "conj(f) != f"
     p = f.p
     be = f.backend
     n, m = f.window()
@@ -485,17 +493,21 @@ def _grouplike_coproduct_holds(f: SchwartzFunction) -> bool:
         for y in points:
             fy = f.evaluate(y)
             if not be.is_zero(f.evaluate(x + y) * fy - fx * fy):
-                return False
-    return True
+                yield "(x, y) = (%s, %s)" % (x, y)
 
 
 def is_group_like_schwartz(f: SchwartzFunction) -> bool:
     """Nonzero, idempotent, self-conjugate, and the coproduct slice condition."""
-    if f.is_zero():
-        return False
-    if not (schwartz_mul(f, f) == f and f.conjugate() == f):
-        return False
-    return _grouplike_coproduct_holds(f)
+    return next(_group_like_failures(f), None) is None
+
+
+def _normalized_failures(hn: SchwartzFunction, scale, h_hat, target):
+    be = hn.backend
+    integral = haar_integral(hn, scale)
+    if not be.is_zero(integral - be.normalize(1)):
+        yield "integral %r after rescaling Haar by %s" % (integral, scale)
+    if not h_hat == target:
+        yield "got %r" % (h_hat,)
 
 
 def padic_group_like_suite(p: int, n_range, backend: Backend = EXACT) -> list:
@@ -506,38 +518,19 @@ def padic_group_like_suite(p: int, n_range, backend: Backend = EXACT) -> list:
     reports = []
     for n in n_range:
         hn = subgroup_indicator(p, n, backend)
-        ok = is_group_like_schwartz(hn)
-        reports.append(make_report(suite, "h_%d is a group-like projection" % n, ok))
-
         # integral(h_n) = p^-n, so the normalizing factor is p^n
         scale = Fraction(p) ** n
-        assert backend.is_zero(haar_integral(hn, scale) - backend.normalize(1))
         h_hat = padic_fourier(hn, scale)
         target = subgroup_indicator(p, -n, backend)
-        reports.append(
-            make_report(
-                suite,
-                "normalized F(h_%d) = h_%d" % (n, -n),
-                h_hat == target,
-                "got %r" % (h_hat,),
-            )
-        )
-        reports.append(
-            make_report(
-                suite,
-                "F(h_%d) is group-like in the dual" % n,
-                is_group_like_schwartz(h_hat),
-            )
-        )
+        reports += [
+            check(suite, "h_%d is a group-like projection" % n, _group_like_failures(hn)),
+            check(suite, "normalized F(h_%d) = h_%d" % (n, -n), _normalized_failures(hn, scale, h_hat, target)),
+            check(suite, "F(h_%d) is group-like in the dual" % n, _group_like_failures(h_hat)),
+        ]
     # a coset that is not a subgroup must fail the coproduct condition
     coset = indicator(Ball.make(p, 1, Fraction(1)), backend)
-    reports.append(
-        make_report(
-            suite,
-            "coset indicator 1 + pZp fails the group-like check",
-            not is_group_like_schwartz(coset),
-        )
-    )
+    failures = ["1 + pZp is group-like"] if is_group_like_schwartz(coset) else []
+    reports.append(check(suite, "coset indicator 1 + pZp fails the group-like check", failures))
     return reports
 
 

@@ -12,8 +12,8 @@ from fractions import Fraction
 from functools import partial
 from itertools import product
 
-from . import core, fixtures, laurent, padic
-from .report import check, make_report, passed
+from . import core, fixtures, laurent, linalg, padic
+from .report import check
 from .scalars import EXACT, FLOAT, Backend, zeta
 
 
@@ -31,19 +31,17 @@ def _sweep_elements(A, rng, n_random=100):
 # ---------------------------------------------------------------------------
 
 
+def _sub_failures(run, *args):
+    """A witness "<case>: <witness>" per failing report of run(*args), run lazily."""
+    for r in run(*args):
+        if not r.ok:
+            yield "%s: %s" % (r.case, r.witness)
+
+
 def suite_axioms(backend: Backend = EXACT, seed: int = 0) -> list:
-    reports = []
-    for name, A in fixtures.standard_fixtures(backend):
-        reps = core.verify_axioms(A)
-        reports.append(
-            make_report(
-                "axioms",
-                name,
-                passed(reps),
-                "; ".join("%s: %s" % (r.case, r.witness) for r in reps if not r.ok),
-            )
-        )
-    return reports
+    return [
+        check("axioms", name, _sub_failures(core.verify_axioms, A)) for name, A in fixtures.standard_fixtures(backend)
+    ]
 
 
 def suite_inversion(backend: Backend = EXACT, seed: int = 0, n_random: int = 100) -> list:
@@ -119,17 +117,17 @@ def _classical_convolution_failures(gname, rng, backend):
             for t in range(G.order)
         ]
         if not core.convolve(A, a, b) == A.element(want):
-            yield "random pair on %s" % gname
+            yield "random pair %r, %r on %s" % (a.coords, b.coords, gname)
 
 
 def _padic_convolution_failures(p, rng, backend, n_pairs):
-    for _ in range(n_pairs):
+    for i in range(n_pairs):
         f = padic.random_schwartz(p, rng, backend)
         g = padic.random_schwartz(p, rng, backend)
         lhs = padic.padic_fourier(padic.schwartz_convolve(f, g))
         rhs = padic.schwartz_mul(padic.padic_fourier(f), padic.padic_fourier(g))
         if not lhs == rhs:
-            yield "random pair, p=%d" % p
+            yield "draw %d: f=%r, g=%r" % (i, f, g)
 
 
 def suite_plancherel(backend: Backend = EXACT, seed: int = 0, n_random: int = 100, tolerance: float = 1e-9) -> list:
@@ -151,34 +149,31 @@ def suite_plancherel(backend: Backend = EXACT, seed: int = 0, n_random: int = 10
 
 def _plancherel_failures(A, elements, positive, tolerance):
     for a in elements:
-        reps = core.plancherel_check(A, a, check_positivity=positive, tolerance=tolerance)
-        if not passed(reps):
-            yield "; ".join(r.witness for r in reps if not r.ok)
+        for witness in _sub_failures(core.plancherel_check, A, a, positive, tolerance):
+            yield "element %r, %s" % (a.coords, witness)
 
 
 def _padic_plancherel_failures(p, rng, backend):
-    for _ in range(25):
+    for i in range(25):
         f = padic.random_schwartz(p, rng, backend)
         fh = padic.padic_fourier(f)
         lhs = padic.haar_integral(padic.schwartz_mul(fh, fh.conjugate()))
         rhs = padic.haar_integral(padic.schwartz_mul(f, f.conjugate()))
         if not f.backend.is_zero(lhs - rhs):
-            yield "random f, p=%d" % p
+            yield "draw %d: f=%r" % (i, f)
 
 
 def suite_biduality(backend: Backend = EXACT, seed: int = 0) -> list:
-    from . import linalg
+    return [check("biduality", name, _biduality_failures(A)) for name, A in fixtures.standard_fixtures(backend)]
 
-    reports = []
-    for name, A in fixtures.standard_fixtures(backend):
-        d1 = core.build_dual(A)
-        d2 = core.build_dual(d1.dual)
-        # canonical identification: a_k -> evaluation functional on the dual;
-        # its coordinates in the bidual basis are M = P (P_hat^T)^{-1}
-        M = linalg.mat_mul(d1.pairing, linalg.inverse(linalg.transpose(d2.pairing), A.backend))
-        B = core.transport(d2.dual, M)
-        reports.append(make_report("biduality", name, core.tensors_equal(B, A)))
-    return reports
+
+def _biduality_failures(A):
+    d1 = core.build_dual(A)
+    d2 = core.build_dual(d1.dual)
+    # canonical identification: a_k -> evaluation functional on the dual;
+    # its coordinates in the bidual basis are M = P (P_hat^T)^{-1}
+    M = linalg.mat_mul(d1.pairing, linalg.inverse(linalg.transpose(d2.pairing), A.backend))
+    yield from core.tensor_differences(core.transport(d2.dual, M), A)
 
 
 def suite_types(backend: Backend = EXACT, seed: int = 0) -> list:
@@ -187,37 +182,31 @@ def suite_types(backend: Backend = EXACT, seed: int = 0) -> list:
         G = fixtures.FiniteGroupTable.builtin(gname)
 
         A = fixtures.function_algebra(G, backend)
-        coints = core.find_cointegral(A)
         want = A.element([1 if g == G.identity else 0 for g in range(G.order)])
-        ok = len(coints) == 1 and _same_line(coints[0], want)
-        reports.append(make_report("types", "cointegral Fun(%s) = span(delta_e)" % gname, ok))
+        reports.append(check("types", "cointegral Fun(%s) = span(delta_e)" % gname, _cointegral_failures(A, want)))
 
         B = fixtures.group_algebra(G, backend)
-        coints = core.find_cointegral(B)
         want = B.element([1] * G.order)
-        ok = len(coints) == 1 and _same_line(coints[0], want)
-        reports.append(make_report("types", "cointegral C[%s] = span(sum lambda_g)" % gname, ok))
+        reports.append(check("types", "cointegral C[%s] = span(sum lambda_g)" % gname, _cointegral_failures(B, want)))
 
         for name, Q in (("Fun(%s)" % gname, A), ("C[%s]" % gname, B)):
-            t = core.classify_type(Q)
-            reports.append(
-                make_report("types", "%s is compact and discrete" % name, t["compact"] and t["discrete"])
-            )
-            reports.append(
-                make_report("types", "dual-type:%s" % name, passed(core.dual_type_check(Q)))
-            )
+            reports.append(check("types", "%s is compact and discrete" % name, _type_failures(Q)))
+            reports.append(check("types", "dual-type:%s" % name, _sub_failures(core.dual_type_check, Q)))
     reports.extend(laurent.laurent_type_certificates(backend))
     return reports
 
 
-def _same_line(a, b):
-    """True if a and b span the same 1-dimensional space."""
-    be = a.owner.backend
-    i = next((i for i, c in enumerate(b.coords) if not be.is_zero(c)), None)
-    if i is None or be.is_zero(a.coords[i]):
-        return False
-    r = a.coords[i] / b.coords[i]
-    return all(be.is_zero(x - r * y) for x, y in zip(a.coords, b.coords))
+def _cointegral_failures(A, want):
+    coints = [c.coords for c in core.find_cointegral(A)]
+    # one cointegral, and it and the nonzero want are linearly dependent
+    if len(coints) != 1 or not linalg.nullspace([list(x) for x in zip(coints[0], want.coords)], A.backend):
+        yield "cointegrals %r" % (coints,)
+
+
+def _type_failures(A):
+    t = core.classify_type(A)
+    if not (t["compact"] and t["discrete"]):
+        yield "type %r" % (t,)
 
 
 def suite_grouplike(backend: Backend = EXACT, seed: int = 0, primes=(2, 3, 5, 7)) -> list:
@@ -226,38 +215,35 @@ def suite_grouplike(backend: Backend = EXACT, seed: int = 0, primes=(2, 3, 5, 7)
     A = fixtures.function_algebra(G, backend)
     subs = fixtures.subgroups_of(G)
     orders = sorted({len(s) for s in subs})
-    reports.append(make_report("grouplike", "S3 has subgroups of orders 1,2,3,6", orders == [1, 2, 3, 6]))
+    failures = [] if orders == [1, 2, 3, 6] else ["orders %r" % orders]
+    reports.append(check("grouplike", "S3 has subgroups of orders 1,2,3,6", failures))
     for s in subs:
-        h = fixtures.subgroup_indicator(A, G, s)
-        ok = core.is_group_like_projection(A, h)
-        if ok:
-            try:
-                core.fourier_group_like(A, h)
-            except core.StructureError:
-                ok = False
-        reports.append(
-            make_report("grouplike", "subgroup of order %d (indices %s)" % (len(s), list(s)), ok)
-        )
+        case = "subgroup of order %d (indices %s)" % (len(s), list(s))
+        reports.append(check("grouplike", case, _subgroup_failures(A, G, s)))
     # a non-subgroup coset: {g} for g != e is idempotent but not group-like
     g = next(i for i in range(G.order) if i != G.identity)
-    coset = fixtures.subgroup_indicator(A, G, [g])
-    reports.append(
-        make_report("grouplike", "non-subgroup singleton fails", not core.is_group_like_projection(A, coset))
-    )
+    reports.append(check("grouplike", "non-subgroup singleton fails", _singleton_failures(A, G, g)))
     # the unit is group-like
-    reports.append(make_report("grouplike", "h = 1 passes", core.is_group_like_projection(A, A.one())))
+    reports.append(check("grouplike", "h = 1 passes", core.group_like_failures(A, A.one())))
 
     for p in primes:
-        reps = padic.padic_group_like_suite(p, range(-3, 4), backend)
-        reports.append(
-            make_report(
-                "grouplike",
-                "padic suite p=%d, n in [-3,3]" % p,
-                passed(reps),
-                "; ".join(r.case for r in reps if not r.ok),
-            )
-        )
+        failures = _sub_failures(padic.padic_group_like_suite, p, range(-3, 4), backend)
+        reports.append(check("grouplike", "padic suite p=%d, n in [-3,3]" % p, failures))
     return reports
+
+
+def _subgroup_failures(A, G, s):
+    h = fixtures.subgroup_indicator(A, G, s)
+    yield from core.group_like_failures(A, h)
+    try:
+        core.fourier_group_like(A, h)
+    except core.StructureError as exc:
+        yield "fourier_group_like: %s" % exc
+
+
+def _singleton_failures(A, G, g):
+    if core.is_group_like_projection(A, fixtures.subgroup_indicator(A, G, [g])):
+        yield "the indicator of {%d} is group-like" % g
 
 
 def suite_padic(backend: Backend = EXACT, seed: int = 0, primes=(2, 3, 5, 7)) -> list:
@@ -296,11 +282,11 @@ def _haar_failures(p, rng, backend):
         measure = padic.haar_integral(padic.subgroup_indicator(p, n, backend))
         if not measure == (Fraction(p) ** (-n) if backend.exact else complex(Fraction(p) ** (-n))):
             yield "measure of %d^%d Zp" % (p, n)
-    for _ in range(10):
+    for i in range(10):
         f = padic.random_schwartz(p, rng, backend)
         shift = Fraction(rng.randint(0, p**2 - 1), p ** rng.randint(0, 2))
         if not f.backend.is_zero(padic.haar_integral(f.translated(shift)) - padic.haar_integral(f)):
-            yield "translation by %s" % shift
+            yield "draw %d: f=%r translated by %s" % (i, f, shift)
 
 
 def _reflection_failures(p, rng, backend):
@@ -380,14 +366,14 @@ def suite_oracle(seed: int = 0, tolerance: float = 1e-6) -> list:
 
 
 def _riemann_failures(p, rng, tolerance):
-    for _ in range(25):
+    for i in range(25):
         f = padic.random_schwartz(p, rng, FLOAT)
         fh = padic.padic_fourier(f)
         for y in list(fh.cells.keys())[:6] + [Fraction(1, p**3), Fraction(p**3)]:
             got = fh.evaluate(y)
             want = padic.padic_fourier_oracle_value(f, y)
             if abs(got - want) > tolerance:
-                yield "y=%s got=%r want=%r" % (y, got, want)
+                yield "draw %d: f=%r, y=%s got=%r want=%r" % (i, f, y, got, want)
 
 
 def _character_failures(gname, chars, rng):
@@ -395,11 +381,11 @@ def _character_failures(gname, chars, rng):
     A = fixtures.function_algebra(G)
     for _ in range(10):
         a = _random_element(A, rng)
-        for chi in chars:
+        for k, chi in enumerate(chars):
             got = core.fourier(A, a)(A.element(list(chi)))
             want = sum(chi[g] * a.coords[g] for g in range(G.order))
             if not A.backend.is_zero(got - want):
-                yield "character mismatch on %s" % gname
+                yield "element %r, character %d on %s" % (a.coords, k, gname)
 
 
 def _abelian_characters():
@@ -417,34 +403,41 @@ def _abelian_characters():
 def suite_duality_structure(backend: Backend = EXACT, seed: int = 0) -> list:
     """build_dual(group_algebra(G)) matches function_algebra(G) on the basis
     matching lambda-dual(g) <-> delta_{g^-1}."""
-    reports = []
-    for gname in ("Z2", "Z3", "Z4", "Z2xZ2", "S3"):
-        G = fixtures.FiniteGroupTable.builtin(gname)
-        B = fixtures.group_algebra(G, backend)
-        dual = core.build_dual(B).dual
-        # delta_g corresponds to the dual basis vector at index g^-1
-        M = [[1 if i == G.inverse[g] else 0 for i in range(G.order)] for g in range(G.order)]
-        M = [[backend.normalize(x) for x in row] for row in M]
-        transported = core.transport(dual, M)
-        A = fixtures.function_algebra(G, backend)
-        reports.append(
-            make_report("duality", "dual(C[%s]) = Fun(%s)" % (gname, gname), core.tensors_equal(transported, A))
-        )
+    reports = [
+        check("duality", "dual(C[%s]) = Fun(%s)" % (g, g), _group_algebra_dual_failures(g, backend))
+        for g in ("Z2", "Z3", "Z4", "Z2xZ2", "S3")
+    ]
     # the Sweedler fixture has a nontrivial grouplike modular element
     H = fixtures.sweedler_fixture(backend)
-    delta = core.modular_element(H)
-    nontrivial = not delta == H.one()
-    D = H.comult_dense(delta.coords)
-    grouplike = core._tensors_eq(
-        H.backend, D, [[a * b for b in delta.coords] for a in delta.coords]
-    )
-    reports.append(make_report("duality", "H4 modular element is grouplike and != 1", nontrivial and grouplike))
+    reports.append(check("duality", "H4 modular element is grouplike and != 1", _sweedler_modular_failures(H)))
     for gname in ("Z3", "S3"):
         G = fixtures.FiniteGroupTable.builtin(gname)
         for A in (fixtures.function_algebra(G, backend), fixtures.group_algebra(G, backend)):
-            ok = core.modular_element(A) == A.one()
-            reports.append(make_report("duality", "%s is unimodular" % A.name, ok))
+            reports.append(check("duality", "%s is unimodular" % A.name, _unimodular_failures(A)))
     return reports
+
+
+def _group_algebra_dual_failures(gname, backend):
+    G = fixtures.FiniteGroupTable.builtin(gname)
+    dual = core.build_dual(fixtures.group_algebra(G, backend)).dual
+    # delta_g corresponds to the dual basis vector at index g^-1
+    M = [[backend.normalize(1 if i == G.inverse[g] else 0) for i in range(G.order)] for g in range(G.order)]
+    yield from core.tensor_differences(core.transport(dual, M), fixtures.function_algebra(G, backend))
+
+
+def _sweedler_modular_failures(H):
+    delta = core.modular_element(H)
+    if delta == H.one():
+        yield "delta = 1"
+    square = [[a * b for b in delta.coords] for a in delta.coords]
+    if not core._tensors_eq(H.backend, H.comult_dense(delta.coords), square):
+        yield "coproduct(delta) != delta (x) delta"
+
+
+def _unimodular_failures(A):
+    delta = core.modular_element(A)
+    if not delta == A.one():
+        yield "delta = %r" % (delta.coords,)
 
 
 SUITES = {

@@ -171,6 +171,16 @@ def test_check_reports_are_jsonl(capsys):
         assert "summary" in rec or rec["status"] in ("pass", "fail", "skip")
 
 
+def test_check_timings_are_measured_per_case_and_only_on_request(capsys):
+    code, out, _ = run(capsys, "check", "--suite", "grouplike", "--timings")
+    records = [json.loads(line) for line in out.strip().splitlines()[:-1]]
+    subgroups = [r for r in records if r["case"].startswith("subgroup of order")]
+    assert code == 0 and len(subgroups) == 6
+    assert all(r["elapsed_ms"] > 0 for r in subgroups)
+    code, out, _ = run(capsys, "check", "--suite", "grouplike")
+    assert code == 0 and "elapsed_ms" not in out
+
+
 # -- input contract -----------------------------------------------------------
 
 

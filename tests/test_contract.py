@@ -1,0 +1,73 @@
+"""Pin the output contract: sha256 of the stdout of ``check`` per fast suite,
+seed and backend, and of ``dual --builtin`` per group and side.
+
+Pass output is byte-identical for a fixed seed, so any change to a case name,
+its order, the record layout or a dual's exchange text shows up here.  The
+convolution, padic and plancherel suites take seconds each and are left out.
+"""
+
+import hashlib
+
+import pytest
+
+from qgfourier import cli
+
+DIGESTS = [
+    ("check axioms exact 0", "5bf15606a2316bf9d8bafa3d20a87f76baebec769f85ce4bcb408cf7f908dcba"),
+    ("check axioms exact 42", "72424bbc976ec450fbdd0a4796dbe083c8ad7785a2b693d47540afeee6f24bec"),
+    ("check axioms float 0", "e77e17dc5309a5ccf181a7fa98490700f4e923424a64c05a0940a355492434de"),
+    ("check axioms float 42", "52fa4c6ab06324c89ed246050b48626f0af5449d6032e295fa1b5c642c917407"),
+    ("check inversion exact 0", "9ac9ed7da99602768a5af9df098d7e0a62893b188ee6cfdc4b0bd81ba6bad8fc"),
+    ("check inversion exact 42", "5dfaec50414c45ee897c7915daaf4c276f8d64fe85367cc74119eafbae51b8cf"),
+    ("check inversion float 0", "c287e2d63717915b6cb1d95d2271571963d83073f71adb77e03526c0eff5b059"),
+    ("check inversion float 42", "fef1eef8b006b9e0b9059171d21554539b5031762cf07fe00df768fb461b2ecf"),
+    ("check inversion-lemma exact 0", "1a0d926aadc9ed0dad84387aaa804874c38ec49c19951ec730d764ec81ec80a2"),
+    ("check inversion-lemma exact 42", "0c14da100dcbffc180503c18b64280d5b91fd50c3f572bcaf761f24f5ae6e246"),
+    ("check inversion-lemma float 0", "3c7b6f02d16b01439957386d6a81e73fd2f5cf26610718b4a5d2772e978a76dc"),
+    ("check inversion-lemma float 42", "60b3b5440efad066cde212e32e1bc01f0da089e655eda8fa53a13e66624a0689"),
+    ("check biduality exact 0", "cbbe9fc0e7c86414c8cedaf3bc14c24927c17e9d0246ed026a54c3a99f9c8f45"),
+    ("check biduality exact 42", "d93a7754cc5e8f5d2daf8f76df2e111ef9d8936a96ca25ed7b2586edebf54712"),
+    ("check biduality float 0", "917e764f258ce4d0f832346c1366ea409d3127b05b298c33d55e1d0668663f06"),
+    ("check biduality float 42", "fefdf28b0ac4d7abd84fbf69655e5136b27796aeb1893d3c68c1d451c746ef9b"),
+    ("check types exact 0", "2500d383e401a3758fe4fc5e9e1c61d9c7a0ccf73b4d86c31fe0eb4ca7c82f11"),
+    ("check types exact 42", "13e71dd95a704616edf28f428f5ab577ef5cf0045099b677b2fefe809dee35bf"),
+    ("check types float 0", "12d2aaefee5b3ca1dec99fcdb041c84f891d7b0142e04861e1c51f843779f5f8"),
+    ("check types float 42", "4bd68a8fe3324a8047ce47c114abae305dd0d7b6755834a324f2b6749f909002"),
+    ("check grouplike exact 0", "3812d342dafe8bbba2ebd50857c1c6d684ee509a2953fc128558faad5f73ffb4"),
+    ("check grouplike exact 42", "fb16844aa20b15789f40954b1571ce1cac36908050cfce4d4734c4181c82efbb"),
+    ("check grouplike float 0", "f80ed61b70bfb61e35c9bb41f69071d1c5ea7b27713c000f8358a3f318f179fb"),
+    ("check grouplike float 42", "0b861fe980b8f6323764214baf31a7e7b6e7aed93530394d0ce5b3d592487120"),
+    ("check oracle exact 0", "818d6e92fd8e055a2f43cc05604c6949ebd80d27fb0680ddc67282df31cfba35"),
+    ("check oracle exact 42", "522c6e24858fce076d895da6f4b7de7a6434b8ab7c16aa2584140e82608abfda"),
+    ("check oracle float 0", "ec55deded3d2a581b57d4eb92eb2ca57ab6c1bcab1ab79c939f099c874e5fb92"),
+    ("check oracle float 42", "0baa33dae450d52a68ae2bd28f0170bd6db32fcb0bf112a0f36196f2da5a0583"),
+    ("check duality exact 0", "b92590d58fa9f965d41f9da667725b26b0c2e48f2006a778eb5b5f9704a6c254"),
+    ("check duality exact 42", "f7124968946cd4adbbbfeab42812eb448bf1b0cb564bedf1b649d07ec725ee01"),
+    ("check duality float 0", "3696bf7614d1e5b830024e6551cde7bc63589c223361b5d91c7b221347313808"),
+    ("check duality float 42", "0d065553829bbdc5bb5b1c0da98e939c2c8ac79c45fa76627ba1cb8950b9b48a"),
+    ("dual trivial function-algebra", "27ba6f3c0237dc491bbf5bcefe2a2c2511401529c92439994300614164be7f0b"),
+    ("dual trivial group-algebra", "9b743731551f2efea45a311f70fb086746302c7ebd8f845275396116ee29cdd3"),
+    ("dual Z2 function-algebra", "a4135cd57536016e5d7d388358e2606fb9afbf74e2dbdd7e9f1dbd57be45856e"),
+    ("dual Z2 group-algebra", "6bce7e0f468fd84e666824e4e2b44c19d6525d4b7b8d4a4bf985981ef85c590e"),
+    ("dual Z3 function-algebra", "f700a2b13e6acb0760e2ae92bdaf5f34b9f901adc1d1d7abf0a1ceb92d42735b"),
+    ("dual Z3 group-algebra", "63bcc5250acef2a40221462d7fdd7226d53efc97004f541e89db4745f401f68b"),
+    ("dual Z4 function-algebra", "4a294ffc517ccdfa26675b788d5539cf5ef73cd9958c8f62372a8f8573005491"),
+    ("dual Z4 group-algebra", "a70452eaf6674df09a531198d9ca97e0b1d7960fbd27ebbf5c736cbd2414a6df"),
+    ("dual Z2xZ2 function-algebra", "15ef1f2d55e6b2508241d24eeb6ba28ff7273f4984fe892f9b854e67b1d15c70"),
+    ("dual Z2xZ2 group-algebra", "6d9885c3fa1e85d35a9e2b2a6c50d131a6c783ec23854bfbae3d9e0d8fa3284d"),
+    ("dual S3 function-algebra", "a2527ba154fc717244c0ad33ae1c9a692911ec75bd2e92e891e76f3cda798880"),
+    ("dual S3 group-algebra", "81b69062f54d933cbc1bdfa768dd69829256836af14f58ad1f8c672cf56ca6c4"),
+]
+
+
+@pytest.mark.parametrize("command, digest", DIGESTS)
+def test_stdout_digest(capsys, command, digest):
+    name, *rest = command.split()
+    if name == "check":
+        suite, backend, seed = rest
+        argv = ["check", "--suite", suite, "--backend", backend, "--seed", seed]
+    else:
+        group, side = rest
+        argv = ["dual", "--builtin", group, "--side", side]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
