@@ -162,7 +162,10 @@ def cmd_fourier(args) -> int:
                 raise CliError("--padic needs --ball or --schwartz", EXIT_INPUT_ERROR)
         except (OSError, KeyError, TypeError, ValueError) as exc:  # ParseError is a ValueError
             raise CliError(str(exc), EXIT_INPUT_ERROR)
-        g = padic.padic_fourier(f)
+        try:
+            g = padic.padic_fourier(f)
+        except padic.PAdicError as exc:  # more than padic.MAX_CELLS cells
+            raise CliError(str(exc), EXIT_INPUT_ERROR)
         if args.inverse:
             # inverse transform: reflect after transforming (self-dual measure)
             g = _reflect(g)

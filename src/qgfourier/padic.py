@@ -350,7 +350,10 @@ class SchwartzFunction:
         return all(be.is_zero(a.cells.get(k, z) - b.cells.get(k, z)) for k in keys)
 
     def __repr__(self):
-        return "SchwartzFunction(p=%d, level=%d, %d cells)" % (self.p, self.level, len(self.cells))
+        shown = ", ".join("%s: %s" % cv for cv in sorted(self.cells.items())[:8])
+        more = ", ..." if len(self.cells) > 8 else ""
+        return "SchwartzFunction(p=%d, level=%d, %d cells: {%s%s})" % (
+            self.p, self.level, len(self.cells), shown, more)
 
 
 def indicator(b: Ball, backend: Backend = EXACT) -> SchwartzFunction:
@@ -415,16 +418,27 @@ def schwartz_convolve(f: SchwartzFunction, g: SchwartzFunction, scale=Fraction(1
     return SchwartzFunction(f.p, lvl, out, f.backend)
 
 
+# The most cells a transform may produce.  A function with window (n, m)
+# transforms to one with window (-m, -n), that is p^(m - n) cells, each
+# holding a root of unity of order up to p^(m - n).  Written out, the
+# 2^-7 + 2^7 Zp ball's transform is 2^14 cells of 2^13 coefficients each.
+MAX_CELLS = 4096
+
+
 def padic_fourier(f: SchwartzFunction, scale=Fraction(1)) -> SchwartzFunction:
     """F(f)(y) = integral of f(x) conj(chi(x, y)) dx, exact.
 
     One cell transforms to a conjugated character times the indicator of
     p^-m Zp; the character factor is locally constant at level
     L = max(-v(center), -m), so the result is again a cell decomposition.
+    Raises PAdicError when the result would have more than MAX_CELLS cells.
     """
     p = f.p
+    n, m = f.window()
+    if p ** (m - n) > MAX_CELLS:
+        raise PAdicError("the transform of a function on window (%d, %d) has %d^%d cells, more than %d"
+                         % (n, m, p, m - n, MAX_CELLS))
     be = f.backend
-    m = f.level
     pieces = []
     for c, v in f.cells.items():
         vc = fraction_valuation(c, p)

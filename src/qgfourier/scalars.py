@@ -1,19 +1,25 @@
 """Exact scalars: cyclotomic field arithmetic over Q, plus a float backend.
 
-A ``Cyclotomic`` stores a polynomial in zeta_N (a primitive N-th root of
-unity) canonically reduced mod the N-th cyclotomic polynomial Phi_N.  Since
-Phi_N is the minimal polynomial of zeta_N, reduced representations at a
-common order are unique, so equality of values is equality of coefficient
-vectors once orders are unified.  Orders are never minimized after
-arithmetic; equality always unifies first.
+A ``Cyclotomic`` is an element of Q(zeta_N), zeta_N a primitive N-th root of
+unity, written in the basis 1, zeta_N, ..., zeta_N^(phi(N) - 1): a
+polynomial in zeta_N reduced mod the N-th cyclotomic polynomial Phi_N.  It
+is stored sparsely, as ``order`` (N) and ``terms``, a dict of its nonzero
+``Fraction`` coefficients keyed by exponent; ``coeffs`` is the dense tuple of
+all phi(N) coefficients, derived on demand.  Since Phi_N is the minimal
+polynomial of zeta_N, reduced representations at a common order are unique,
+so equality of values is equality of terms once orders are unified.
 
-Rational coefficients are ``fractions.Fraction`` (already normalized with
-positive denominator).  Rational values on the exact path stay plain
-``Fraction`` objects, never order-1 ``Cyclotomic``s: the exact backend passes
-a ``Fraction`` through unchanged, turns a small integer into one shared
-``Fraction`` object, and an exchanged scalar of order 1 reads back as its
-rational value.  The float backend uses plain ``complex`` with a tolerance
-for zero tests.
+Arithmetic reduces a term first mod x^N - 1, then mod Phi_N from the highest
+exponent down.  At a prime power Phi_{p^k}(x) = Phi_p(x^(p^(k-1))) finishes
+that in one pass, so zeta_{2^k}^j stays one term and zeta_{p^k}^j has at most
+p - 1 terms.  A result has the lcm of its operands' orders: orders are never
+minimized after arithmetic, and equality always unifies first.
+
+Rational values on the exact path stay plain ``Fraction`` objects, never
+order-1 ``Cyclotomic``s: the exact backend passes a ``Fraction`` through
+unchanged, turns a small integer into one shared ``Fraction`` object, and an
+exchanged scalar of order 1 reads back as its rational value.  The float
+backend uses plain ``complex`` with a tolerance for zero tests.
 """
 
 from __future__ import annotations
@@ -21,7 +27,8 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from heapq import heapify, heappop, heappush
+from math import gcd, isqrt
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +54,18 @@ def _poly_mul(a, b):
     return _poly_trim(out)
 
 
+def _prime_power(n: int):
+    """(p, k) with n = p^k and k >= 1, or None."""
+    if n < 2:
+        return None
+    p = next((q for q in range(2, isqrt(n) + 1) if n % q == 0), n)
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return (p, k) if n == 1 else None
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple:
     """Coefficients of Phi_n, low degree first, monic integer polynomial."""
@@ -54,6 +73,12 @@ def cyclotomic_polynomial(n: int) -> tuple:
         raise ValueError("order must be positive")
     if n == 1:
         return (-1, 1)
+    pk = _prime_power(n)
+    if pk:
+        # Phi_{p^k}(x) = Phi_p(x^q) = 1 + x^q + ... + x^((p-1) q), q = p^(k-1)
+        p, k = pk
+        q = p ** (k - 1)
+        return tuple(int(i % q == 0) for i in range((p - 1) * q + 1))
     # Phi_n = (x^n - 1) / prod_{d | n, d < n} Phi_d
     num = [0] * (n + 1)
     num[0], num[n] = -1, 1
@@ -74,33 +99,76 @@ def _phi_sparse(n: int):
     return deg, tuple((j, c) for j, c in enumerate(phi[:deg]) if c)
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
-def _reduce_mod_phi(coeffs, n):
-    """Reduce a Fraction polynomial in zeta_n mod Phi_n; return fixed-length tuple."""
+def _reduce(raw: dict, n: int) -> dict:
+    """The nonzero terms of sum raw[i] x^i mod Phi_n, for exponents 0 <= i < n.
+
+    Exponents at or above deg Phi_n are rewritten from the highest down with
+    x^deg = -(the lower terms of Phi_n); a rewritten exponent can still be
+    high for composite n, never for a prime power.  raw is consumed.
+    """
     deg, lower = _phi_sparse(n)
-    c = list(coeffs)
-    for i in range(len(c) - 1, deg - 1, -1):
-        top = c[i]
-        if top:
-            c[i] = _ZERO
-            for j, y in lower:
-                c[i - deg + j] -= top * y
-    c = c[:deg]
-    c += [_ZERO] * (deg - len(c))
-    return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in c)
+    high = [-i for i in raw if i >= deg]
+    heapify(high)
+    while high:
+        i = -heappop(high)
+        c = raw.pop(i)
+        if not c:
+            continue
+        base = i - deg
+        for j, y in lower:
+            k = base + j
+            d = c if y == 1 else c * y
+            if k in raw:
+                raw[k] -= d
+            else:
+                raw[k] = -d
+                if k >= deg:
+                    heappush(high, -k)
+    return {i: c for i, c in raw.items() if c}
+
+
+def _make(order: int, terms: dict) -> "Cyclotomic":
+    """A Cyclotomic from terms already reduced at order, zeros dropped.
+
+    Arithmetic on Cyclotomic operands builds its results here; a value made
+    from anything else (zeta, a rational, a coefficient list) goes through
+    ``Cyclotomic.__init__``."""
+    z = object.__new__(Cyclotomic)
+    z.order = order
+    z.terms = terms
+    return z
 
 
 class Cyclotomic:
-    """An exact element of the cyclotomic field Q(zeta_N)."""
+    """An exact element of the cyclotomic field Q(zeta_N).
 
-    __slots__ = ("order", "coeffs")
+    ``Cyclotomic(N, coeffs)`` takes the coefficients of a polynomial in
+    zeta_N, either dense (a sequence, index = exponent) or sparse (a dict
+    exponent -> coefficient), of any degree.  Values are never mutated."""
+
+    __slots__ = ("order", "terms")
 
     def __init__(self, order: int, coeffs):
+        if order < 1:
+            raise ValueError("order must be positive")
+        raw = {}
+        for i, c in coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs):
+            if not isinstance(c, Fraction):
+                c = Fraction(c)
+            if c:
+                i %= order
+                raw[i] = raw[i] + c if i in raw else c
         self.order = order
-        self.coeffs = _reduce_mod_phi(
-            [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs], order
-        )
+        self.terms = _reduce(raw, order)
+
+    @property
+    def coeffs(self) -> tuple:
+        """All phi(N) coefficients in the reduced basis, zeros included."""
+        get = self.terms.get
+        return tuple(get(i, _ZERO) for i in range(_phi_sparse(self.order)[0]))
 
     # -- constructors
 
@@ -123,7 +191,7 @@ class Cyclotomic:
         if isinstance(x, Cyclotomic):
             return x
         if isinstance(x, (int, Fraction)):
-            return Cyclotomic(1, [Fraction(x)])
+            return Cyclotomic(1, [x])
         return NotImplemented
 
     def raised_to_order(self, m: int) -> "Cyclotomic":
@@ -133,42 +201,61 @@ class Cyclotomic:
         if m % self.order:
             raise ValueError("new order must be a multiple of the old")
         k = m // self.order
-        out = [Fraction(0)] * (len(self.coeffs) * k or 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * k] += c
-        return Cyclotomic(m, out)
+        return _make(m, _reduce({i * k: c for i, c in self.terms.items()}, m))
 
     # -- arithmetic
 
-    def _binop(self, other, f):
+    def _sum(self, other, sign):
         other = Cyclotomic._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        m = self.order * other.order // gcd(self.order, other.order)
-        return f(self.raised_to_order(m), other.raised_to_order(m))
+        a, b = unify_order(self, other)
+        out = dict(a.terms)
+        for i, c in b.terms.items():
+            s = out.get(i)
+            if s is None:
+                out[i] = c if sign > 0 else -c
+            else:
+                s = s + c if sign > 0 else s - c
+                if s:
+                    out[i] = s
+                else:
+                    del out[i]
+        return _make(a.order, out)
 
     def __add__(self, other):
-        return self._binop(
-            other, lambda a, b: Cyclotomic(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
-        )
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binop(
-            other, lambda a, b: Cyclotomic(a.order, [x - y for x, y in zip(a.coeffs, b.coeffs)])
-        )
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return Cyclotomic(self.order, [-c for c in self.coeffs])
+        return _make(self.order, {i: -c for i, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Cyclotomic(self.order, [c * other for c in self.coeffs])
-        return self._binop(other, lambda a, b: Cyclotomic(a.order, _poly_mul(list(a.coeffs), list(b.coeffs))))
+            if not other:
+                return _make(self.order, {})
+            return _make(self.order, {i: c * other for i, c in self.terms.items()})
+        other = Cyclotomic._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        a, b = unify_order(self, other)
+        n = a.order
+        raw = {}
+        for i, x in a.terms.items():
+            for j, y in b.terms.items():
+                k = i + j
+                if k >= n:
+                    k -= n
+                v = x * y
+                raw[k] = raw[k] + v if k in raw else v
+        return _make(n, _reduce(raw, n))
 
     __rmul__ = __mul__
 
@@ -177,7 +264,7 @@ class Cyclotomic:
             raise ZeroDivisionError("cyclotomic division by zero")
         # extended gcd of self (degree < deg Phi_N) with the irreducible Phi_N
         phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        r0, r1 = phi, _poly_trim([Fraction(c) for c in self.coeffs])
+        r0, r1 = phi, _poly_trim(list(self.coeffs))
         s0, s1 = [], [Fraction(1)]
         while len(r1) > 1:
             q, r = _poly_full_divmod(r0, r1)
@@ -215,27 +302,22 @@ class Cyclotomic:
         n = self.order
         if n == 1:
             return self
-        # zeta^i -> zeta^(-i) = zeta^(n-i), so a degree-below-n vector suffices
-        out = [Fraction(0)] * n
-        for i, c in enumerate(self.coeffs):
-            out[(n - i) % n] += c
-        return Cyclotomic(n, out)
+        return _make(n, _reduce({(n - i) % n: c for i, c in self.terms.items()}, n))
 
     # -- predicates / conversions
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not self.terms
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:]) if self.order > 1 else True
+        return all(i == 0 for i in self.terms)
 
     def as_rational(self) -> Fraction:
-        a = self
-        if a.order > 1 and not a.is_rational():
+        if not self.is_rational():
             # value may still be rational at a non-minimal order only when
             # the tail vanishes, which is_rational already decided
             raise ValueError("not a rational value: %r" % (self,))
-        return a.coeffs[0]
+        return self.terms.get(0, _ZERO)
 
     def numeric_value(self) -> complex:
         z = cmath.exp(2j * cmath.pi / self.order)
@@ -250,18 +332,16 @@ class Cyclotomic:
         other = Cyclotomic._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        m = self.order * other.order // gcd(self.order, other.order)
-        return self.raised_to_order(m).coeffs == other.raised_to_order(m).coeffs
+        a, b = unify_order(self, other)
+        return a.terms == b.terms
 
     __hash__ = None  # cross-order equality makes a consistent cheap hash impossible
 
     def __repr__(self):
         if self.is_rational():
-            return "Cyc(%s)" % (self.coeffs[0],)
+            return "Cyc(%s)" % (self.terms.get(0, _ZERO),)
         terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
+        for i, c in sorted(self.terms.items()):
             if i == 0:
                 terms.append(str(c))
             else:
@@ -294,10 +374,7 @@ def _poly_full_divmod(a, b):
 
 def zeta(n: int, k: int = 1) -> Cyclotomic:
     """The root of unity zeta_n^k."""
-    k %= n
-    coeffs = [Fraction(0)] * (k + 1)
-    coeffs[k] = Fraction(1)
-    return Cyclotomic(n, coeffs)
+    return Cyclotomic(n, {k % n: _ONE})
 
 
 def unify_order(a: Cyclotomic, b: Cyclotomic):
@@ -399,15 +476,15 @@ def scalar_to_obj(s):
     return {"order": s.order, "coeffs": [[c.numerator, c.denominator] for c in s.coeffs]}
 
 
-# The largest order an exchanged scalar may have.  Building Phi_n costs one
-# dense polynomial product per divisor of n, so orders with several distinct
-# prime factors are slow: on a 2-CPU machine Phi_2310 took about 3 s and
-# Phi_30030 was still running after 20 s, while every n <= 1024 took under
-# 0.4 s.  1024 admits every order the package produces in practice: at most
-# 81 in the check suites, 729 in the benchmark, and the zeta_1024 values of
-# the 2^-5 + 2^5 Zp ball transform.  Finer p-adic transforms write larger
-# orders, which cannot be read back.
+# The largest orders an exchanged scalar may have.  Building Phi_n at a
+# composite n costs one dense polynomial product per divisor of n, so orders
+# with several distinct prime factors are slow: on a 2-CPU machine Phi_2310
+# took about 3 s and Phi_30030 was still running after 20 s, while every
+# n <= 1024 took under 0.4 s.  At a prime power Phi_n has a closed form and
+# a root of unity at most p - 1 terms, so those orders go up to 2^14, which
+# holds every order a transform within padic.MAX_CELLS writes.
 MAX_ORDER = 1024
+MAX_PRIME_POWER_ORDER = 2**14
 
 
 def scalar_from_obj(obj):
@@ -415,8 +492,10 @@ def scalar_from_obj(obj):
     (zeta_1 = 1, so the value is the sum of the coefficients), else a
     Cyclotomic."""
     order = obj["order"]
-    if order > MAX_ORDER:
-        raise ValueError("scalar order %s exceeds %d" % (order, MAX_ORDER))
+    if order > MAX_PRIME_POWER_ORDER or (order > MAX_ORDER and not _prime_power(order)):
+        raise ValueError(
+            "scalar order %s exceeds %d (%d for a prime power)" % (order, MAX_ORDER, MAX_PRIME_POWER_ORDER)
+        )
     coeffs = [Fraction(n, d) for n, d in obj["coeffs"]]
     if order == 1:
         return _rational(sum(coeffs, _ZERO))

@@ -76,6 +76,24 @@ def test_fourier_padic_prime_must_match_schwartz_file(tmp_path, capsys):
     assert code == 0 and json.loads(out)["p"] == 2
 
 
+def test_fourier_padic_reads_back_prime_power_orders_above_1024(tmp_path, capsys):
+    # the transform of the 2^-5 + 2^6 Zp ball writes values of order 2048
+    f = padic.SchwartzFunction(2, 1, {Fraction(1, 2): zeta(2048, 3), Fraction(0): Fraction(1, 2)})
+    schwartz = tmp_path / "f.json"
+    schwartz.write_text(json.dumps(exchange.schwartz_to_obj(f)))
+    code, out, err = run(capsys, "fourier", "--padic", "--prime", "2", "--schwartz", str(schwartz))
+    assert code == 0, err
+    assert exchange.schwartz_from_obj(json.loads(out)) == padic.padic_fourier(f)
+
+
+def test_fourier_padic_refuses_more_than_max_cells(capsys):
+    # 2^14 cells of order-2^14 values: the dense output would not fit in memory
+    start = time.perf_counter()
+    code, out, err = run(capsys, "fourier", "--padic", "--prime", "2", "--ball", "1*2^-7+2^7*Zp")
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == "" and "error:" in err and str(padic.MAX_CELLS) in err
+
+
 # -- laurent pair -------------------------------------------------------------
 
 

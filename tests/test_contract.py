@@ -1,9 +1,12 @@
 """Pin the output contract: sha256 of the stdout of ``check`` per fast suite,
-seed and backend, and of ``dual --builtin`` per group and side.
+seed and backend, of the convolution, padic and plancherel suites together
+at seed 0 on both backends, of ``dual --builtin`` per group and side, and of
+``fourier --padic`` on one ball per prime.
 
 Pass output is byte-identical for a fixed seed, so any change to a case name,
-its order, the record layout or a dual's exchange text shows up here.  The
-convolution, padic and plancherel suites take seconds each and are left out.
+its order, the record layout, a dual's exchange text or the reduced-basis
+coefficients of a p-adic transform shows up here.  The slow suites run at
+seed 0 only; the balls stay at or below 729 cells.
 """
 
 import hashlib
@@ -45,6 +48,8 @@ DIGESTS = [
     ("check duality exact 42", "f7124968946cd4adbbbfeab42812eb448bf1b0cb564bedf1b649d07ec725ee01"),
     ("check duality float 0", "3696bf7614d1e5b830024e6551cde7bc63589c223361b5d91c7b221347313808"),
     ("check duality float 42", "0d065553829bbdc5bb5b1c0da98e939c2c8ac79c45fa76627ba1cb8950b9b48a"),
+    ("check convolution,padic,plancherel exact 0", "08b7161bf6cb28d4f324daf3fe9f8278ff672f7662a90d82de254acc1cc51093"),
+    ("check convolution,padic,plancherel float 0", "b72bcc68bf04c918f731ae37b21ac763287b0ccb400e6018ccc451b29ab86a12"),
     ("dual trivial function-algebra", "27ba6f3c0237dc491bbf5bcefe2a2c2511401529c92439994300614164be7f0b"),
     ("dual trivial group-algebra", "9b743731551f2efea45a311f70fb086746302c7ebd8f845275396116ee29cdd3"),
     ("dual Z2 function-algebra", "a4135cd57536016e5d7d388358e2606fb9afbf74e2dbdd7e9f1dbd57be45856e"),
@@ -57,6 +62,10 @@ DIGESTS = [
     ("dual Z2xZ2 group-algebra", "6d9885c3fa1e85d35a9e2b2a6c50d131a6c783ec23854bfbae3d9e0d8fa3284d"),
     ("dual S3 function-algebra", "a2527ba154fc717244c0ad33ae1c9a692911ec75bd2e92e891e76f3cda798880"),
     ("dual S3 group-algebra", "81b69062f54d933cbc1bdfa768dd69829256836af14f58ad1f8c672cf56ca6c4"),
+    ("fourier 2 1*2^-4+2^5*Zp", "3fcedbf07d49940a1bf7091e9881c43af27a92feaabad3a540789e97ba0ab0a3"),
+    ("fourier 3 1*3^-3+3^3*Zp", "6098e0d69e87dcded8883ce217432f2bf61c02d9b398434a6a1978eb5c460b09"),
+    ("fourier 5 1*5^-2+5^2*Zp", "347797613af93cd219fba8a39634753f3a10f899a1eb5fa21555c72972d48d50"),
+    ("fourier 7 1*7^-1+7^2*Zp", "11261edc9b6212957b99d1bb6f4d0fcf1b8ae27b9e871316030203987c9445c4"),
 ]
 
 
@@ -66,6 +75,9 @@ def test_stdout_digest(capsys, command, digest):
     if name == "check":
         suite, backend, seed = rest
         argv = ["check", "--suite", suite, "--backend", backend, "--seed", seed]
+    elif name == "fourier":
+        prime, ball = rest
+        argv = ["fourier", "--padic", "--prime", prime, "--ball", ball]
     else:
         group, side = rest
         argv = ["dual", "--builtin", group, "--side", side]

@@ -191,3 +191,24 @@ def test_mismatched_primes_rejected():
         padic.padic_add(padic.parse_padic("1", 2), padic.parse_padic("1", 3))
     with pytest.raises(padic.PAdicError):
         padic.schwartz_mul(padic.subgroup_indicator(2, 0), padic.subgroup_indicator(3, 0))
+
+
+@pytest.mark.parametrize("p, ball, cells", [(2, "1*2^-6+2^6*Zp", 4096), (3, "1*3^-3+3^4*Zp", 2187)])
+def test_transforms_up_to_max_cells_run(p, ball, cells):
+    assert len(padic.padic_fourier(padic.indicator(padic.parse_ball(ball, p))).cells) == cells <= padic.MAX_CELLS
+
+
+@pytest.mark.parametrize("p, ball", [(2, "1*2^-7+2^6*Zp"), (3, "1*3^-4+3^4*Zp"), (7, "1*7^-3+7^2*Zp")])
+def test_transforms_beyond_max_cells_are_refused(p, ball):
+    f = padic.indicator(padic.parse_ball(ball, p))
+    with pytest.raises(padic.PAdicError, match="more than %d" % padic.MAX_CELLS):
+        padic.padic_fourier(f)
+
+
+def test_repr_names_cells():
+    f = padic.SchwartzFunction(2, 4, {Fraction(9 - k, 2): k + 1 for k in range(10)})
+    assert repr(f) == (
+        "SchwartzFunction(p=2, level=4, 10 cells: "
+        "{0: 10, 1/2: 9, 1: 8, 3/2: 7, 2: 6, 5/2: 5, 3: 4, 7/2: 3, ...})"
+    )
+    assert repr(padic.subgroup_indicator(3, 1)) == "SchwartzFunction(p=3, level=1, 1 cells: {0: 1})"
