@@ -52,6 +52,14 @@ def _basis(d: int, i: int) -> tuple:
 
 @dataclass
 class FiniteQuantumGroup:
+    """A finite quantum group given by its structure tensors (see above).
+
+    The group builds four caches on first use and keeps them: ``gram_phi``,
+    ``gram_psi``, ``Sinv`` (the inverse antipode) and ``mult_index`` (the
+    nonzero structure constants of ``mult`` by row).  The structure tensors
+    are therefore read-only once the group has been used.
+    """
+
     dim: int
     basis_labels: list
     mult: list  # d x d x d
@@ -107,20 +115,27 @@ class FiniteQuantumGroup:
 
     # -- tensor contractions -----------------------------------------------
 
+    def mult_index(self):
+        """nz[i][j] = [(k, mult[i][j][k]), ...] over the nonzero constants, k rising."""
+        if "mult_index" not in self._cache:
+            be = self.backend
+            self._cache["mult_index"] = [
+                [[(k, c) for k, c in enumerate(row) if not be.is_zero(c)] for row in plane] for plane in self.mult
+            ]
+        return self._cache["mult_index"]
+
     def mul_coords(self, x, y):
-        d = self.dim
-        out = [self.zero_scalar()] * d
-        for i in range(d):
-            if self.backend.is_zero(x[i]):
+        be = self.backend
+        nz = self.mult_index()
+        ys = [(j, yj) for j, yj in enumerate(y) if not be.is_zero(yj)]
+        out = [self.zero_scalar()] * self.dim
+        for i, xi in enumerate(x):
+            if be.is_zero(xi):
                 continue
-            for j in range(d):
-                if self.backend.is_zero(y[j]):
-                    continue
-                f = x[i] * y[j]
-                row = self.mult[i][j]
-                for k in range(d):
-                    if not self.backend.is_zero(row[k]):
-                        out[k] = out[k] + f * row[k]
+            for j, yj in ys:
+                f = xi * yj
+                for k, c in nz[i][j]:
+                    out[k] = out[k] + f * c
         return out
 
     def comult_dense(self, coords):
@@ -158,40 +173,20 @@ class FiniteQuantumGroup:
     def psi_of(self, coords):
         return sum(c * v for c, v in zip(coords, self.right_integral))
 
+    def _gram(self, integral):
+        zero = self.zero_scalar()
+        return [[sum((c * integral[k] for k, c in row), zero) for row in plane] for plane in self.mult_index()]
+
     def gram_phi(self):
         """P[i][j] = phi(a_i a_j); the pairing matrix of the dual basis."""
         if "gram_phi" not in self._cache:
-            d = self.dim
-            self._cache["gram_phi"] = [
-                [self.phi_of(self.mult[i][j]) for j in range(d)] for i in range(d)
-            ]
+            self._cache["gram_phi"] = self._gram(self.left_integral)
         return self._cache["gram_phi"]
 
     def gram_psi(self):
         if "gram_psi" not in self._cache:
-            d = self.dim
-            self._cache["gram_psi"] = [
-                [self.psi_of(self.mult[i][j]) for j in range(d)] for i in range(d)
-            ]
+            self._cache["gram_psi"] = self._gram(self.right_integral)
         return self._cache["gram_psi"]
-
-    def rescaled_phi(self, factor) -> "FiniteQuantumGroup":
-        """Copy with the left integral multiplied by ``factor`` (no mutation)."""
-        f = self.backend.normalize(factor)
-        return FiniteQuantumGroup(
-            dim=self.dim,
-            basis_labels=list(self.basis_labels),
-            mult=self.mult,
-            comult=self.comult,
-            counit=self.counit,
-            antipode=self.antipode,
-            star=self.star,
-            unit=self.unit,
-            left_integral=[f * v for v in self.left_integral],
-            right_integral=self.right_integral,
-            backend=self.backend,
-            name=self.name,
-        )
 
 
 @dataclass
@@ -314,25 +309,42 @@ class DualResult:
 # axiom verification
 
 
-def _tensors_eq(be, t1, t2):
-    def flat(t):
-        if isinstance(t, (list, tuple)):
-            for x in t:
-                yield from flat(x)
-        else:
-            yield t
+def _flat(t):
+    while t and isinstance(t[0], (list, tuple)):
+        t = [x for row in t for x in row]
+    return list(t)
 
-    f1, f2 = list(flat(t1)), list(flat(t2))
+
+def _tensors_eq(be, t1, t2):
+    """Entrywise equality of nested lists, or of dicts of entries by index in
+    which an absent key is a zero entry."""
+    if isinstance(t1, dict):
+        zero = be.normalize(0)
+        keys = t1.keys() | t2.keys()
+        f1, f2 = [t1.get(key, zero) for key in keys], [t2.get(key, zero) for key in keys]
+    else:
+        f1, f2 = _flat(t1), _flat(t2)
     if be.exact:  # exact == is equality of values, across orders
         return f1 == f2
     return len(f1) == len(f2) and all(be.is_zero(a - b) for a, b in zip(f1, f2))
 
 
+def _accumulate(acc, key, x):
+    """acc[key] += x in a dict of entries by index (an absent key is zero)."""
+    acc[key] = acc[key] + x if key in acc else x
+
+
 def _associativity(A):
-    d = A.dim
-    for i, j, k in product(range(d), repeat=3):
-        lhs = A.mul_coords(A.mult[i][j], _basis(d, k))
-        rhs = A.mul_coords(_basis(d, i), A.mult[j][k])
+    """(a_i a_j) a_k = a_i (a_j a_k), composed from the nonzero constants"""
+    nz = A.mult_index()
+    for i, j, k in product(range(A.dim), repeat=3):
+        lhs, rhs = {}, {}
+        for l, c in nz[i][j]:
+            for n, c2 in nz[l][k]:
+                _accumulate(lhs, n, c * c2)
+        for l, c in nz[j][k]:
+            for n, c2 in nz[i][l]:
+                _accumulate(rhs, n, c * c2)
         yield "basis (%d,%d,%d)" % (i, j, k), lhs, rhs
 
 
@@ -345,15 +357,13 @@ def _unit_law(A):
 
 def _coassociativity(A):
     """(coproduct (x) id) coproduct = (id (x) coproduct) coproduct"""
-    d = A.dim
-    for i in range(d):
-        lhs = [[[A.zero_scalar()] * d for _ in range(d)] for _ in range(d)]
-        rhs = [[[A.zero_scalar()] * d for _ in range(d)] for _ in range(d)]
+    for i in range(A.dim):
+        lhs, rhs = {}, {}
         for j, k, c in A.comult[i]:
             for a, b, c2 in A.comult[j]:
-                lhs[a][b][k] = lhs[a][b][k] + c * c2
+                _accumulate(lhs, (a, b, k), c * c2)
             for a, b, c2 in A.comult[k]:
-                rhs[j][a][b] = rhs[j][a][b] + c * c2
+                _accumulate(rhs, (j, a, b), c * c2)
         yield "basis %d" % i, lhs, rhs
 
 
@@ -402,7 +412,7 @@ def _invariance(A, left):
 
 def _faithfulness(A, gram):
     """An integral is faithful when its Gram matrix has nullity 0."""
-    yield "singular Gram matrix", len(linalg.nullspace(gram, A.backend)), 0
+    yield "singular Gram matrix", [len(linalg.nullspace(gram, A.backend))], [0]
 
 
 def _star_involution(A):
@@ -497,18 +507,24 @@ def _transpose(A: FiniteQuantumGroup) -> FiniteQuantumGroup:
         gram_psi_t_inv = linalg.inverse(linalg.transpose(A.gram_psi()), be)
     except linalg.SingularMatrixError as exc:
         raise FaithfulnessError("right integral is not faithful") from exc
-    coproducts = [A.comult_dense(_basis(d, k)) for k in range(d)]
+    zero = A.zero_scalar()
+    mult = [[[zero] * d for _ in range(d)] for _ in range(d)]
+    for k, terms in enumerate(A.comult):
+        for i, j, c in terms:
+            mult[i][j][k] = mult[i][j][k] + c
+    comult = [[] for _ in range(d)]
+    for i, plane in enumerate(A.mult_index()):
+        for j, row in enumerate(plane):
+            for k, c in row:
+                comult[k].append((i, j, c))
     star = None
     if A.is_star:
         star = linalg.transpose([[be.conj(x) for x in A.star_coords(row)] for row in A.antipode])
     return FiniteQuantumGroup(
         dim=d,
         basis_labels=list(A.basis_labels),
-        mult=[[[coproducts[k][i][j] for k in range(d)] for j in range(d)] for i in range(d)],
-        comult=[
-            [(i, j, A.mult[i][j][k]) for i in range(d) for j in range(d) if not be.is_zero(A.mult[i][j][k])]
-            for k in range(d)
-        ],
+        mult=mult,
+        comult=comult,
         counit=A.unit,
         antipode=linalg.transpose(A.antipode),
         star=star,
@@ -535,12 +551,7 @@ def transport(A: FiniteQuantumGroup, M, name=None) -> FiniteQuantumGroup:
     be = A.backend
     d = A.dim
     Minv = linalg.inverse(M, be)
-    mult = [[[A.zero_scalar()] * d for _ in range(d)] for _ in range(d)]
-    for x in range(d):
-        for y in range(d):
-            prod = A.mul_coords(M[x], M[y])  # in a-basis
-            new = linalg.vec_mat(prod, Minv)
-            mult[x][y] = new
+    mult = [[linalg.vec_mat(A.mul_coords(M[x], M[y]), Minv) for y in range(d)] for x in range(d)]
     comult = []
     for x in range(d):
         D = A.comult_dense(M[x])
@@ -772,16 +783,30 @@ def fourier_group_like(A: FiniteQuantumGroup, h: Element) -> Functional:
     """F(h) under the phi(h)=1 normalization; verified group-like in the dual."""
     if not is_group_like_projection(A, h):
         raise StructureError("not a group-like projection")
+    witness = next(dual_group_like_failures(A, build_dual(A).dual, h), None)
+    if witness is not None:
+        raise StructureError("Fourier transform failed the dual group-like check: %s" % witness)
     ph = A.phi_of(h.coords)
-    if A.backend.is_zero(ph):
-        raise FaithfulnessError("phi(h) = 0 contradicts faithfulness")
-    A2 = A.rescaled_phi(A.backend.normalize(1) / ph)
-    dual = build_dual(A2).dual
+    return Functional(A, [v / ph for v in fourier(A, h).values])
+
+
+def dual_group_like_failures(A: FiniteQuantumGroup, dual: FiniteQuantumGroup, h: Element):
+    """The group-like identities that F(h), under the phi(h)=1 normalization,
+    breaks in ``dual = build_dual(A).dual``, named as in ``group_like_failures``."""
+    be = A.backend
+    ph = A.phi_of(h.coords)
+    if be.is_zero(ph):
+        yield "phi(h) = 0"
+        return
+    lam = be.normalize(1) / ph
+    # phi -> lam phi scales the dual basis w_i = phi(. a_i) by lam.  The
+    # transported right integral is then lam times too large, but the
+    # group-like identities do not read it.
+    d = A.dim
+    scaled = transport(dual, [[lam if x == i else 0 for i in range(d)] for x in range(d)])
     # F(h) = sum h_i w_i, so its dual-basis coordinates are h's coordinates
-    h_hat_dual = Element(dual, [A.backend.normalize(c) for c in h.coords])
-    if not is_group_like_projection(dual, h_hat_dual):
-        raise StructureError("Fourier transform failed the dual group-like check")
-    return fourier(A2, A2.element(h.coords))
+    for witness in group_like_failures(scaled, scaled.element(h.coords)):
+        yield "F(h) in the dual: " + witness
 
 
 def modular_element(A: FiniteQuantumGroup) -> Element:

@@ -1,7 +1,8 @@
 """Pin the output contract: sha256 of the stdout of ``check`` per fast suite,
 seed and backend, of the convolution, padic and plancherel suites together
 at seed 0 on both backends, of ``dual --builtin`` per group and side, and of
-``fourier --padic`` on one ball per prime.
+``fourier --padic`` on one ball per prime; and sha256 of the exchange bytes
+``exchange.dumps(qgroup_to_obj(...))`` of the standard fixtures and their duals.
 
 Pass output is byte-identical for a fixed seed, so any change to a case name,
 its order, the record layout, a dual's exchange text or the reduced-basis
@@ -13,7 +14,7 @@ import hashlib
 
 import pytest
 
-from qgfourier import cli
+from qgfourier import cli, core, exchange, fixtures
 
 DIGESTS = [
     ("check axioms exact 0", "5bf15606a2316bf9d8bafa3d20a87f76baebec769f85ce4bcb408cf7f908dcba"),
@@ -83,3 +84,39 @@ def test_stdout_digest(capsys, command, digest):
         argv = ["dual", "--builtin", group, "--side", side]
     assert cli.main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+EXCHANGE_DIGESTS = {
+    "Fun(Z2)": "d8a9b384314657be23cd3f59626db057766b1fb201714d3e787e465afc376864",
+    "dual(Fun(Z2))": "56800d7c11e2886bcad4b149d245426e933fe28576476806eea051565c0d9cb5",
+    "C[Z2]": "7fea6250703c872ed30257865e810d7f64e416b49cbbbd302736aa8721eea094",
+    "dual(C[Z2])": "e21c0fd2176522234cd19e4a9e27ebd767c5842bfe1b9276d19e3600e44e37ad",
+    "Fun(Z3)": "6afa611126e6c4b5412a173972959259fc721361188f4af4475d71950e2f80c7",
+    "dual(Fun(Z3))": "92bacb378f2948064833f9e435c447666815c7a523591a24d5ab0232a282072a",
+    "C[Z3]": "5b46ad03143ece52a79941462325f23883ac996f65e1db4f31a3f29b1387c176",
+    "dual(C[Z3])": "c1857731a44c75fc3600625f3010cd4a82ca8131316d6a52c2529e78ca10b644",
+    "Fun(Z4)": "06919c96015b4476b325692181fe6546686e2b9861dacfe6256182e254e35036",
+    "dual(Fun(Z4))": "df3c815c2e5aff5b5fab760940ff4207d2f1f3cf47c11100e212918b68fab320",
+    "C[Z4]": "b65bb699c21ddb6293960f97f09338129d2a24e8efe8d0b6c42f041df24f5071",
+    "dual(C[Z4])": "b3868c9e2f3c4fd91ce1159bfe0b36f4afbe80c70ae249a77b059655171fcfef",
+    "Fun(Z2xZ2)": "91dbfe144977ac543b5e07aa534a0b6cecc181cc074c9725cd9d0bb126817e3a",
+    "dual(Fun(Z2xZ2))": "7464c622f94c0d8902df878093e7b6473ac1d492dcd86940beb05e55c5840b26",
+    "C[Z2xZ2]": "e70bb57bd515d17b57523618f2269f5c3d7f9f9497ef6619056addd6fb9e5bac",
+    "dual(C[Z2xZ2])": "c7ee505d9a1ea02c46a9dff11137f2ea81e50ad3f6b35fa222d6a58cfdacb0fa",
+    "Fun(S3)": "70f25201f58157c9a5ac9389cb8a1728c2e8d60538858206b063ac862e22cd13",
+    "dual(Fun(S3))": "089fe4812b6102b30c3ee2e14b68e4ba7d3c49f94b8ece7de013960dc50d985d",
+    "C[S3]": "2478ed40fa9bc460d6a8dcec30ff79dad65821d5f9ed73fe1df65bb558336f7f",
+    "dual(C[S3])": "0253e636ceb79c1d6e6ab333eba410b57e6c1efa6bb582a8073936e8c269cca8",
+    "H4": "900d1f3b14a9a510dd452405e377ec6ba8557d5ec794cd99a7eeab9bce567239",
+    "dual(H4)": "cf72e718d8cd419cb2d8071ab50dc0af40cb8809bf398dc6758c4ad4eb5877bf",
+}
+
+
+@pytest.mark.parametrize("name", EXCHANGE_DIGESTS)
+def test_exchange_digest(name):
+    dual = name.startswith("dual(")
+    A = dict(fixtures.standard_fixtures())[name[5:-1] if dual else name]
+    if dual:
+        A = core.build_dual(A).dual
+    text = exchange.dumps(exchange.qgroup_to_obj(A))
+    assert hashlib.sha256(text.encode()).hexdigest() == EXCHANGE_DIGESTS[name]

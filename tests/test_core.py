@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qgfourier import core, fixtures, linalg
+from qgfourier import core, fixtures, linalg, suites
 from qgfourier.report import passed
 from qgfourier.scalars import EXACT, FLOAT
 
@@ -42,10 +42,11 @@ AXIOM_CASES = [
     "S*S* = id",
 ]
 
-# one corrupted entry of Fun(S3) per identity family, and the first witness
-# of every identity it breaks
+# one corrupted entry per identity family, on Fun(S3), C[S3] and H4: the
+# fixture, the corruption and the first witness of every identity it breaks
 CORRUPTIONS = {
     "mult": (
+        "Fun(S3)",
         lambda A: A.mult[1][2].__setitem__(0, Fraction(1)),
         {
             "associativity": "basis (0,1,2)",
@@ -55,6 +56,7 @@ CORRUPTIONS = {
         },
     ),
     "comult": (
+        "Fun(S3)",
         lambda A: A.comult[3].append((0, 0, Fraction(1))),
         {
             "coassociativity": "basis 0",
@@ -65,14 +67,17 @@ CORRUPTIONS = {
         },
     ),
     "counit": (
+        "Fun(S3)",
         lambda A: A.counit.__setitem__(2, Fraction(1)),
         {"counit law": "basis 0", "antipode law": "basis 2"},
     ),
     "antipode": (
+        "Fun(S3)",
         lambda A: A.antipode[4].__setitem__(4, Fraction(1)),
         {"antipode law": "basis 3", "S*S* = id": "basis 3"},
     ),
     "star": (
+        "Fun(S3)",
         lambda A: A.star[5].__setitem__(1, Fraction(1)),
         {
             "star involution": "basis 5",
@@ -82,20 +87,132 @@ CORRUPTIONS = {
         },
     ),
     "integral": (
+        "Fun(S3)",
         lambda A: A.left_integral.__setitem__(0, Fraction(0)),
         {"left invariance": "basis 0", "faithfulness of phi": "singular Gram matrix"},
+    ),
+    "C[S3] mult": (
+        "C[S3]",
+        lambda A: A.mult[1][2].__setitem__(0, Fraction(1)),
+        {"associativity": "basis (1,1,2)", "star antihomomorphism": "basis (1,2)"},
+    ),
+    "C[S3] comult": (
+        "C[S3]",
+        lambda A: A.comult[3].append((0, 0, Fraction(1))),
+        {
+            "coassociativity": "basis 3",
+            "counit law": "basis 3",
+            "antipode law": "basis 3",
+            "left invariance": "basis 3",
+            "right invariance": "basis 3",
+            "coproduct *-homomorphism": "basis 3",
+        },
+    ),
+    "C[S3] antipode": (
+        "C[S3]",
+        lambda A: A.antipode[4].__setitem__(4, Fraction(1)),
+        {"antipode law": "basis 4", "S*S* = id": "basis 3"},
+    ),
+    "H4 mult": (
+        "H4",
+        lambda A: A.mult[2][2].__setitem__(0, Fraction(1)),  # x^2 = 1
+        {"associativity": "basis (1,2,2)"},
+    ),
+    "H4 comult": (
+        "H4",
+        lambda A: A.comult[2].append((0, 0, Fraction(1))),
+        {
+            "coassociativity": "basis 2",
+            "counit law": "basis 2",
+            "antipode law": "basis 2",
+            "coproduct *-homomorphism": "basis 2",
+        },
+    ),
+    "H4 antipode": (
+        "H4",
+        lambda A: A.antipode[2].__setitem__(2, Fraction(1)),
+        {"antipode law": "basis 2", "S*S* = id": "basis 2"},
+    ),
+    # two coproduct terms that cancel: every identity still holds
+    "comult cancelling": (
+        "Fun(S3)",
+        lambda A: A.comult[3].extend([(1, 2, Fraction(1)), (1, 2, Fraction(-1))]),
+        {},
     ),
 }
 
 
 @pytest.mark.parametrize("family", CORRUPTIONS)
 def test_corruption_reports_first_witness(family):
-    corrupt, failing = CORRUPTIONS[family]
-    A = fixtures.function_algebra(fixtures.FiniteGroupTable.builtin("S3"))
+    name, corrupt, failing = CORRUPTIONS[family]
+    A = dict(fixtures.standard_fixtures())[name]
     corrupt(A)
     got = [(r.case, r.status, r.witness) for r in core.verify_axioms(A)]
     want = [(c, "fail", failing[c]) if c in failing else (c, "pass", None) for c in AXIOM_CASES]
     assert got == want
+
+
+def test_cancelling_terms_compare_equal_to_absent_entries():
+    name, corrupt, _ = CORRUPTIONS["comult cancelling"]
+    A = dict(fixtures.standard_fixtures())[name]
+    corrupt(A)
+    (lhs, rhs) = next((l, r) for w, l, r in core._coassociativity(A) if w == "basis 3")
+    cancelled = [key for key, c in lhs.items() if c == 0 and key not in rhs]
+    assert cancelled and core._tensors_eq(EXACT, lhs, rhs) and core._tensors_eq(EXACT, rhs, lhs)
+    assert core._tensors_eq(FLOAT, {(0, 1): 0j}, {}) and core._tensors_eq(EXACT, {}, {(0, 1): Fraction(0)})
+    assert not core._tensors_eq(EXACT, {(0, 1): Fraction(1)}, {})
+
+
+def _dense_mul_coords(A, x, y):
+    """The dense triple loop over mult that the nonzero index replaced."""
+    d = A.dim
+    out = [A.zero_scalar()] * d
+    for i in range(d):
+        if A.backend.is_zero(x[i]):
+            continue
+        for j in range(d):
+            if A.backend.is_zero(y[j]):
+                continue
+            f = x[i] * y[j]
+            row = A.mult[i][j]
+            for k in range(d):
+                if not A.backend.is_zero(row[k]):
+                    out[k] = out[k] + f * row[k]
+    return out
+
+
+def _dense_gram(A, integral):
+    d = A.dim
+    return [[sum(c * v for c, v in zip(A.mult[i][j], integral)) for j in range(d)] for i in range(d)]
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT], ids=["exact", "float"])
+def test_products_match_the_dense_reference(backend):
+    # exact results are equal values; float results are bit-identical, since
+    # the terms are added in the same order
+    def same(got, want):
+        if backend.exact:
+            return got == want
+        return [repr(v) for v in got] == [repr(v) for v in want]
+
+    rng = random.Random(5)
+
+    def scalar():
+        if rng.random() < 0.3:
+            return 0
+        if backend.exact:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        return complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+
+    for name, A in fixtures.standard_fixtures(backend):
+        for B in (A, core.build_dual(A).dual):
+            gram_phi, gram_psi = B.gram_phi(), B.gram_psi()
+            assert all(same(g, w) for g, w in zip(gram_phi, _dense_gram(B, B.left_integral))), B.name
+            assert all(same(g, w) for g, w in zip(gram_psi, _dense_gram(B, B.right_integral))), B.name
+            for _ in range(10):
+                x = B.element([scalar() for _ in range(B.dim)]).coords
+                y = B.element([scalar() for _ in range(B.dim)]).coords
+                assert same(B.mul_coords(x, y), _dense_mul_coords(B, x, y)), B.name
 
 
 def test_fourier_inversion_round_trip():
@@ -233,6 +350,31 @@ def test_group_like_projections():
     # a singleton coset off the identity is idempotent but not group-like
     with pytest.raises(core.StructureError):
         core.fourier_group_like(A, A.basis_element(1))
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT], ids=["exact", "float"])
+def test_grouplike_suite_builds_one_dual_and_checks_each_element_once(monkeypatch, backend):
+    built, checked = [], []
+    build_dual, group_like_failures = core.build_dual, core.group_like_failures
+    monkeypatch.setattr(core, "build_dual", lambda A: built.append(A) or build_dual(A))
+    monkeypatch.setattr(core, "group_like_failures", lambda A, h: checked.append(A) or group_like_failures(A, h))
+    assert passed(suites.suite_grouplike(backend, primes=()))
+    # Fun(S3): six subgroup indicators, the singleton and h = 1, each checked
+    # once; and the transform of each subgroup indicator in the dual
+    assert len(built) == 1 and checked.count(built[0]) == 8 and len(checked) == 14
+
+
+def test_dual_group_like_failures_name_the_identity():
+    A = dict(FIXTURES)["Fun(S3)"]
+    dual = core.build_dual(A).dual
+    # a singleton off the identity is a projection of A, but its transform
+    # is not group-like in the dual
+    assert list(core.dual_group_like_failures(A, dual, A.basis_element(1))) == [
+        "F(h) in the dual: h^2 != h",
+        "F(h) in the dual: coproduct(h)(1 (x) h) differs from h (x) h in row 1",
+    ]
+    assert list(core.dual_group_like_failures(A, dual, A.zero_element())) == ["phi(h) = 0"]
+    assert list(core.dual_group_like_failures(A, dual, A.one())) == []
 
 
 def test_float_backend_round_trip():
