@@ -23,13 +23,10 @@ from .core import (
 )
 from .fixtures import FiniteGroupTable, function_algebra, group_algebra, sweedler_fixture
 from .padic import (
-    PAdic,
     Ball,
     SchwartzFunction,
     parse_padic,
     format_padic,
-    valuation_norm,
-    fractional_part,
     character,
     indicator,
     haar_integral,

@@ -188,10 +188,7 @@ def cmd_fourier(args) -> int:
 
 
 def _reflect(f: padic.SchwartzFunction) -> padic.SchwartzFunction:
-    cells = {
-        padic._mod_power(-c, f.p, f.level): v for c, v in f.cells.items()
-    }
-    return padic.SchwartzFunction(f.p, f.level, cells, f.backend)
+    return padic.SchwartzFunction(f.p, f.level, {-c: v for c, v in f.cells.items()}, f.backend)
 
 
 def cmd_check(args) -> int:
@@ -229,18 +226,13 @@ def cmd_padic(args) -> int:
         raise CliError("%s needs %d literal argument(s)" % (args.padic_op, needed), EXIT_INPUT_ERROR)
     try:
         if args.padic_op == "eval":
-            print(padic.format_padic(padic.parse_padic(args.expr[0], p)))
+            print(padic.format_padic(padic.parse_padic(args.expr[0], p), p))
         elif args.padic_op == "norm":
-            _, norm = padic.valuation_norm(padic.parse_padic(args.expr[0], p))
-            print(norm)
+            q = padic.parse_padic(args.expr[0], p)
+            print(Fraction(p) ** -padic.fraction_valuation(q, p) if q else 0)
         elif args.padic_op == "char":
-            x = padic.parse_padic(args.expr[0], p)
-            y = padic.parse_padic(args.expr[1], p)
-            frac = padic.fractional_part(padic.padic_mul(x, y))
-            if frac == 0:
-                print("1")
-            else:
-                print("zeta(%d)^%d" % (frac.denominator, frac.numerator))
+            frac = padic.parse_padic(args.expr[0], p) * padic.parse_padic(args.expr[1], p) % 1
+            print("zeta(%d)^%d" % (frac.denominator, frac.numerator) if frac else "1")
         elif args.padic_op == "integrate":
             if not args.ball:
                 raise CliError("integrate needs --ball", EXIT_INPUT_ERROR)

@@ -799,13 +799,8 @@ def dual_group_like_failures(A: FiniteQuantumGroup, dual: FiniteQuantumGroup, h:
         yield "phi(h) = 0"
         return
     lam = be.normalize(1) / ph
-    # phi -> lam phi scales the dual basis w_i = phi(. a_i) by lam.  The
-    # transported right integral is then lam times too large, but the
-    # group-like identities do not read it.
-    d = A.dim
-    scaled = transport(dual, [[lam if x == i else 0 for i in range(d)] for x in range(d)])
-    # F(h) = sum h_i w_i, so its dual-basis coordinates are h's coordinates
-    for witness in group_like_failures(scaled, scaled.element(h.coords)):
+    # F(h) / phi(h) = sum (h_i / phi(h)) w_i in the dual basis w_i = phi(. a_i)
+    for witness in group_like_failures(dual, dual.element([lam * c for c in h.coords])):
         yield "F(h) in the dual: " + witness
 
 

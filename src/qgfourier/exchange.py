@@ -6,7 +6,7 @@ import json
 from fractions import Fraction
 
 from .core import Element, FiniteQuantumGroup, Functional
-from .padic import PAdic, SchwartzFunction, format_padic, parse_padic
+from .padic import MAX_EXPONENT, PAdicError, SchwartzFunction, format_padic, parse_padic
 from .scalars import EXACT, scalar_from_obj, scalar_to_obj
 
 
@@ -105,18 +105,18 @@ def functional_to_obj(w: Functional) -> dict:
 
 def schwartz_to_obj(f: SchwartzFunction) -> dict:
     cells = [
-        {"center": format_padic(PAdic.from_fraction(f.p, c)), "value": scalar_to_obj(v)}
+        {"center": format_padic(c, f.p), "value": scalar_to_obj(v)}
         for c, v in sorted(f.cells.items())
     ]
     return {"p": f.p, "level": f.level, "cells": cells}
 
 
 def schwartz_from_obj(obj: dict) -> SchwartzFunction:
-    p = obj["p"]
-    cells = {
-        parse_padic(c["center"], p).to_fraction(): scalar_from_obj(c["value"]) for c in obj["cells"]
-    }
-    return SchwartzFunction(p, obj["level"], cells)
+    p, level = obj["p"], obj["level"]
+    if abs(level) > MAX_EXPONENT:
+        raise PAdicError("level %d beyond +-%d (padic.MAX_EXPONENT)" % (level, MAX_EXPONENT))
+    cells = {parse_padic(c["center"], p): scalar_from_obj(c["value"]) for c in obj["cells"]}
+    return SchwartzFunction(p, level, cells)
 
 
 def dumps(obj) -> str:

@@ -1,9 +1,10 @@
 """Exact harmonic analysis on the p-adic line.
 
-Numbers are finite base-p expansions (nonnegative elements of Z[1/p] with
-canonical digits), which is all the ball/character/transform computations
-ever need: every ball has such a center and every character value depends on
-finitely many digits.  Negation is only defined modulo a truncation level,
+A p-adic number is a Fraction in Z[1/p]: every ball center, cell key and
+character argument the transform touches is one, because
+Q_p/Z_p = Z[1/p]/Z.  Base-p digits appear only in text: ``parse_padic``
+reads sums of d*p^j terms or digit strings, and ``format_padic`` writes the
+canonical sum back.  Negation is only defined modulo a truncation level,
 because -1 has an infinite expansion.
 
 Locally constant compactly supported functions are stored as a finite set of
@@ -36,74 +37,12 @@ class ParseError(PAdicError):
 
 
 # ---------------------------------------------------------------------------
-# numbers
+# numbers: Fractions in Z[1/p]
 
-
-@dataclass(frozen=True)
-class PAdic:
-    """A finite base-p expansion: value sum_j digits[j] p^j."""
-
-    p: int
-    digits: tuple  # sorted tuple of (exponent, digit), zeros dropped
-
-    @classmethod
-    def make(cls, p: int, digit_map) -> "PAdic":
-        for j, d in dict(digit_map).items():
-            if not 0 <= d < p:
-                raise PAdicError("digit %d out of range for p=%d" % (d, p))
-        return cls(p, tuple(sorted((j, d) for j, d in dict(digit_map).items() if d)))
-
-    @classmethod
-    def zero(cls, p: int) -> "PAdic":
-        return cls(p, ())
-
-    @classmethod
-    def from_fraction(cls, p: int, q) -> "PAdic":
-        """Expand a nonnegative rational with p-power denominator."""
-        q = Fraction(q)
-        if q < 0:
-            raise PAdicError("finite expansions are nonnegative; negate modulo p^M instead")
-        k = 0
-        while q.denominator % p == 0:
-            q *= p
-            k += 1
-        if q.denominator != 1:
-            raise PAdicError("denominator is not a power of %d" % p)
-        n = q.numerator
-        digits = {}
-        j = -k
-        while n:
-            n, d = divmod(n, p)
-            if d:
-                digits[j] = d
-            j += 1
-        return cls.make(p, digits)
-
-    def to_fraction(self) -> Fraction:
-        return sum((Fraction(d) * Fraction(self.p) ** j for j, d in self.digits), Fraction(0))
-
-    def digit_map(self) -> dict:
-        return dict(self.digits)
-
-    def is_zero(self) -> bool:
-        return not self.digits
-
-
-def padic_add(x: PAdic, y: PAdic) -> PAdic:
-    if x.p != y.p:
-        raise PAdicError("mismatched primes %d and %d" % (x.p, y.p))
-    return PAdic.from_fraction(x.p, x.to_fraction() + y.to_fraction())
-
-
-def padic_mul(x: PAdic, y: PAdic) -> PAdic:
-    if x.p != y.p:
-        raise PAdicError("mismatched primes %d and %d" % (x.p, y.p))
-    return PAdic.from_fraction(x.p, x.to_fraction() * y.to_fraction())
-
-
-def padic_negate(x: PAdic, truncation: int) -> PAdic:
-    """The canonical representative of -x modulo p^truncation."""
-    return PAdic.from_fraction(x.p, _mod_power(-x.to_fraction(), x.p, truncation))
+# The largest |j| accepted for an exponent p^j read from text or an exchange
+# file.  A Fraction holds p^j explicitly, so 1*2^1000000000 would take
+# minutes to build; 4096 is far beyond any window MAX_CELLS admits.
+MAX_EXPONENT = 4096
 
 
 def _mod_power(q: Fraction, p: int, m: int) -> Fraction:
@@ -112,15 +51,10 @@ def _mod_power(q: Fraction, p: int, m: int) -> Fraction:
     return q - step * (q / step).__floor__()
 
 
-def valuation_norm(x: PAdic):
-    """(least exponent with a nonzero digit, p^-v); (inf, 0) for zero."""
-    if not x.digits:
-        return inf, Fraction(0)
-    v = x.digits[0][0]
-    return v, Fraction(x.p) ** (-v)
-
-
 def fraction_valuation(q: Fraction, p: int):
+    """The exponent of p in q; inf for zero."""
+    if p < 2:
+        raise PAdicError("p = %d is not a prime" % p)
     if q == 0:
         return inf
     v = 0
@@ -135,24 +69,13 @@ def fraction_valuation(q: Fraction, p: int):
     return v
 
 
-def fractional_part(x: PAdic) -> Fraction:
-    """sum of the negative-exponent digits, an exact rational in [0, 1)."""
-    return sum((Fraction(d) * Fraction(x.p) ** j for j, d in x.digits if j < 0), Fraction(0))
-
-
-def character(x: PAdic, y: PAdic) -> Cyclotomic:
-    """chi(x, y) = exp(2 pi i {x y}) as an exact root of unity."""
-    if x.p != y.p:
-        raise PAdicError("mismatched primes %d and %d" % (x.p, y.p))
-    return _character_fraction(x.to_fraction() * y.to_fraction(), x.p)
-
-
-def _character_fraction(q: Fraction, p: int) -> Cyclotomic:
+def character(q: Fraction, p: int) -> Cyclotomic:
+    """exp(2 pi i {q}_p) for q in Z[1/p], an exact root of unity of p-power order."""
     frac = q - q.__floor__()
     if frac == 0:
         return Cyclotomic.one()
     if fraction_valuation(frac, p) >= 0 or frac.denominator == 1:
-        raise PAdicError("internal: fractional part should have p-power denominator")
+        raise PAdicError("%s is not in Z[1/%d]" % (q, p))
     return zeta(frac.denominator, frac.numerator)
 
 
@@ -163,7 +86,12 @@ def _character_fraction(q: Fraction, p: int) -> Cyclotomic:
 _TERM = re.compile(r"\s*(\d+)(?:\s*\*\s*(\d+)\s*\^\s*(-?\d+))?\s*$")
 
 
-def parse_padic(text: str, p: int) -> PAdic:
+def _check_exponent(j: int, position: int) -> None:
+    if abs(j) > MAX_EXPONENT:
+        raise ParseError("exponent %d beyond +-%d (padic.MAX_EXPONENT)" % (j, MAX_EXPONENT), position)
+
+
+def parse_padic(text: str, p: int) -> Fraction:
     s = text.strip()
     if re.fullmatch(r"[0-9]+\.[0-9]+|[0-9]{2,}", s) and "*" not in s:
         return _parse_digit_string(s, p)
@@ -183,41 +111,60 @@ def parse_padic(text: str, p: int) -> PAdic:
             if base != p:
                 raise ParseError("base %d does not match p=%d" % (base, p), pos)
             j = int(m.group(3))
+            _check_exponent(j, pos)
         if d:
             if j in digits:
                 raise ParseError("duplicate exponent %d" % j, pos)
             digits[j] = d
         pos += len(chunk) + 1
-    return PAdic.make(p, digits)
+    return _from_digits(digits, p)
 
 
-def _parse_digit_string(s: str, p: int) -> PAdic:
-    if "." in s:
-        whole, frac = s.split(".", 1)
-    else:
-        whole, frac = s, ""
+def _parse_digit_string(s: str, p: int) -> Fraction:
+    whole, _, frac = s.partition(".")
+    # (position, exponent), least significant whole digit first
+    places = [(len(whole) - 1 - j, j) for j in range(len(whole))]
+    places += [(len(whole) + i, -i) for i in range(1, len(frac) + 1)]
     digits = {}
-    for i, ch in enumerate(reversed(whole)):
-        d = int(ch)
+    for pos, j in places:
+        d = int(s[pos])
         if d >= p:
-            raise ParseError("digit %d out of range for p=%d" % (d, p), len(whole) - 1 - i)
+            raise ParseError("digit %d out of range for p=%d" % (d, p), pos)
         if d:
-            digits[i] = d
-    for i, ch in enumerate(frac):
-        d = int(ch)
-        if d >= p:
-            raise ParseError("digit %d out of range for p=%d" % (d, p), len(whole) + 1 + i)
-        if d:
-            digits[-(i + 1)] = d
-    return PAdic.make(p, digits)
+            _check_exponent(j, pos)
+            digits[j] = d
+    return _from_digits(digits, p)
 
 
-def format_padic(x: PAdic) -> str:
-    if not x.digits:
+def _from_digits(digits: dict, p: int) -> Fraction:
+    """sum of d p^j over a {j: d} map, by Horner's rule."""
+    if not digits:
+        return Fraction(0)
+    lo = min(digits)
+    n = 0
+    for j in range(max(digits), lo - 1, -1):
+        n = n * p + digits.get(j, 0)
+    return n * Fraction(p) ** lo
+
+
+def format_padic(q: Fraction, p: int) -> str:
+    """The canonical sum of d*p^j terms, least significant first."""
+    q = Fraction(q)
+    if q < 0:
+        raise PAdicError("finite expansions are nonnegative; negate modulo p^M instead")
+    if q == 0:
         return "0"
+    j = fraction_valuation(q, p)
+    n = q * Fraction(p) ** -j
+    if n.denominator != 1:
+        raise PAdicError("denominator is not a power of %d" % p)
+    n = n.numerator
     terms = []
-    for j, d in x.digits:
-        terms.append(str(d) if j == 0 else "%d*%d^%d" % (d, x.p, j))
+    while n:
+        n, d = divmod(n, p)
+        if d:
+            terms.append(str(d) if j == 0 else "%d*%d^%d" % (d, p, j))
+        j += 1
     return " + ".join(terms)
 
 
@@ -232,15 +179,16 @@ def parse_ball(text: str, p: int) -> "Ball":
     if base != p:
         raise ParseError("base %d does not match p=%d" % (base, p), 0)
     level = int(m.group(3))
-    center = parse_padic(m.group(1), p) if m.group(1) else PAdic.zero(p)
+    _check_exponent(level, m.start(3))
+    center = parse_padic(m.group(1), p) if m.group(1) else 0
     return Ball.make(p, level, center)
 
 
 def format_ball(b: "Ball") -> str:
     zp = "%d^%d*Zp" % (b.p, b.level)
-    if b.center.is_zero():
+    if not b.center:
         return zp
-    return "%s + %s" % (format_padic(b.center), zp)
+    return "%s + %s" % (format_padic(b.center, b.p), zp)
 
 
 # ---------------------------------------------------------------------------
@@ -253,18 +201,11 @@ class Ball:
 
     p: int
     level: int
-    center: PAdic
+    center: Fraction
 
     @classmethod
-    def make(cls, p: int, level: int, center=None) -> "Ball":
-        if center is None:
-            c = Fraction(0)
-        elif isinstance(center, PAdic):
-            c = center.to_fraction()
-        else:
-            c = Fraction(center)
-        c = _mod_power(c, p, level)
-        return cls(p, level, PAdic.from_fraction(p, c))
+    def make(cls, p: int, level: int, center=0) -> "Ball":
+        return cls(p, level, _mod_power(Fraction(center), p, level))
 
     @classmethod
     def zp(cls, p: int, scale: int = 0) -> "Ball":
@@ -272,8 +213,7 @@ class Ball:
         return cls.make(p, scale)
 
     def contains(self, x) -> bool:
-        q = x.to_fraction() if isinstance(x, PAdic) else Fraction(x)
-        return _mod_power(q - self.center.to_fraction(), self.p, self.level) == 0
+        return _mod_power(Fraction(x) - self.center, self.p, self.level) == 0
 
 
 class SchwartzFunction:
@@ -317,8 +257,7 @@ class SchwartzFunction:
         return SchwartzFunction(self.p, level, out, self.backend)
 
     def evaluate(self, x):
-        q = x.to_fraction() if isinstance(x, PAdic) else Fraction(x)
-        key = _mod_power(q, self.p, self.level)
+        key = _mod_power(Fraction(x), self.p, self.level)
         return self.cells.get(key, self.backend.normalize(0))
 
     def window(self):
@@ -334,7 +273,7 @@ class SchwartzFunction:
         return SchwartzFunction(self.p, self.level, {c: be.conj(v) for c, v in self.cells.items()}, be)
 
     def translated(self, shift) -> "SchwartzFunction":
-        q = shift.to_fraction() if isinstance(shift, PAdic) else Fraction(shift)
+        q = Fraction(shift)
         return SchwartzFunction(
             self.p, self.level, {c + q: v for c, v in self.cells.items()}, self.backend
         )
@@ -357,7 +296,7 @@ class SchwartzFunction:
 
 
 def indicator(b: Ball, backend: Backend = EXACT) -> SchwartzFunction:
-    return SchwartzFunction(b.p, b.level, {b.center.to_fraction(): 1}, backend)
+    return SchwartzFunction(b.p, b.level, {b.center: 1}, backend)
 
 
 def subgroup_indicator(p: int, n: int, backend: Backend = EXACT) -> SchwartzFunction:
@@ -448,7 +387,7 @@ def padic_fourier(f: SchwartzFunction, scale=Fraction(1)) -> SchwartzFunction:
         step = Fraction(1, 1) * Fraction(p) ** (-m)
         for t in range(p ** (L + m)):
             y0 = t * step
-            chi = _character_fraction(c * y0, p).conjugate()
+            chi = character(c * y0, p).conjugate()
             val = chi * measure
             if not be.exact:
                 val = val.numeric_value()
@@ -463,7 +402,7 @@ def padic_fourier(f: SchwartzFunction, scale=Fraction(1)) -> SchwartzFunction:
 def padic_fourier_oracle_value(f: SchwartzFunction, y, extra_levels: int = 2) -> complex:
     """Brute-force Riemann sum for F(f)(y): one sample per fine cell,
     weighted by cell measure, characters evaluated numerically."""
-    yq = y.to_fraction() if isinstance(y, PAdic) else Fraction(y)
+    yq = Fraction(y)
     vy = fraction_valuation(yq, f.p)
     lvl = f.level if vy is inf else max(f.level, -vy)
     lvl += extra_levels

@@ -436,9 +436,6 @@ class Backend:
             return s.is_zero()
         return s == 0
 
-    def eq(self, a, b):
-        return self.is_zero(a - b)
-
     def to_complex(self, s):
         if isinstance(s, Cyclotomic):
             return s.numeric_value()

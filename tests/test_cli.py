@@ -248,6 +248,35 @@ def test_large_scalar_order_exits_2_quickly(tmp_path):
         assert code == 2 and "error:" in err and "30030" in err
 
 
+def test_large_padic_exponent_exits_2_quickly(tmp_path):
+    # a Fraction holds p^j explicitly, so 2^1000000000 ran past 20 s; the
+    # exponent must be refused before any arithmetic
+    center = tmp_path / "center.json"
+    center.write_text(json.dumps({"p": 2, "level": 0, "cells": [{"center": "1*2^-1000000000", "value": 1}]}))
+    level = tmp_path / "level.json"
+    level.write_text(json.dumps({"p": 2, "level": 1000000000, "cells": [{"center": "1", "value": 1}]}))
+    for argv in (
+        ["padic", "eval", "--prime", "2", "1*2^1000000000"],
+        ["padic", "norm", "--prime", "2", "1" + "0" * 5000],
+        ["fourier", "--padic", "--prime", "2", "--ball", "2^1000000000*Zp"],
+        ["fourier", "--padic", "--prime", "2", "--schwartz", str(center)],
+        ["fourier", "--padic", "--prime", "2", "--schwartz", str(level)],
+    ):
+        start = time.perf_counter()
+        code, err = run_cli(argv)
+        assert time.perf_counter() - start < 2
+        assert code == 2 and "error:" in err and "MAX_EXPONENT" in err, argv
+
+
+@pytest.mark.parametrize("exponent", [padic.MAX_EXPONENT, -padic.MAX_EXPONENT])
+def test_padic_eval_at_max_exponent_is_fast(capsys, exponent):
+    text = "1*4294967291^%d" % exponent
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "padic", "eval", "--prime", "4294967291", text)
+    assert time.perf_counter() - start < 1
+    assert code == 0 and out.strip() == text
+
+
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-9, 9) | st.floats(width=16) | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3)

@@ -1,7 +1,8 @@
 """Pin the output contract: sha256 of the stdout of ``check`` per fast suite,
 seed and backend, of the convolution, padic and plancherel suites together
-at seed 0 on both backends, of ``dual --builtin`` per group and side, and of
-``fourier --padic`` on one ball per prime; and sha256 of the exchange bytes
+at seed 0 on both backends, of ``dual --builtin`` per group and side, of
+``fourier --padic`` on one ball per prime and of the ``padic`` calculator
+examples; and sha256 of the exchange bytes
 ``exchange.dumps(qgroup_to_obj(...))`` of the standard fixtures and their duals.
 
 Pass output is byte-identical for a fixed seed, so any change to a case name,
@@ -67,6 +68,13 @@ DIGESTS = [
     ("fourier 3 1*3^-3+3^3*Zp", "6098e0d69e87dcded8883ce217432f2bf61c02d9b398434a6a1978eb5c460b09"),
     ("fourier 5 1*5^-2+5^2*Zp", "347797613af93cd219fba8a39634753f3a10f899a1eb5fa21555c72972d48d50"),
     ("fourier 7 1*7^-1+7^2*Zp", "11261edc9b6212957b99d1bb6f4d0fcf1b8ae27b9e871316030203987c9445c4"),
+    ("padic norm --prime 5 1*5^-2+3", "64aeb9975f234becd55bb4635e6e2f2da7a6b7bf0a896f0c07763bdfbfb31420"),
+    ("padic char --prime 2 1*2^-1 1", "3e777712c1b9d41fea467106d753bb276e99728ae51b5691bfa131afbb06feef"),
+    ("padic integrate --prime 3 --ball 3^2*Zp", "47631d06e3da6fa6a1a6cdd1f2431c7ddba918a1bb9ec235c081ac33576f0538"),
+    ("padic eval --prime 2 101.01", "c6847cfda39d050dcea945482ce345601942d2d970642f788c7a433bfb2e8ddb"),
+    ("padic eval --prime 5 1*5^-2+3", "d4b5d0e096963f07468e1ea2d28c924f90c6f9568afb39ae4e1452dbac53a966"),
+    ("padic norm --prime 5 0", "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+    ("padic char --prime 3 1*3^-2 2", "44645df2609407089096737f81ce7410da38f78462923d8bc8b1bfbbbd0c33b5"),
 ]
 
 
@@ -79,6 +87,8 @@ def test_stdout_digest(capsys, command, digest):
     elif name == "fourier":
         prime, ball = rest
         argv = ["fourier", "--padic", "--prime", prime, "--ball", ball]
+    elif name == "padic":
+        argv = command.split()
     else:
         group, side = rest
         argv = ["dual", "--builtin", group, "--side", side]

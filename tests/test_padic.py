@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import inf
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgfourier import padic
 from qgfourier.scalars import EXACT, FLOAT, zeta
@@ -15,14 +17,14 @@ from qgfourier.scalars import EXACT, FLOAT, zeta
 
 def test_parse_terms():
     x = padic.parse_padic("1*5^-2+3", 5)
-    assert x.to_fraction() == Fraction(1, 25) + 3
-    assert padic.parse_padic("0", 7).is_zero()
+    assert x == Fraction(1, 25) + 3 and isinstance(x, Fraction)
+    assert padic.parse_padic("0", 7) == 0
 
 
 def test_parse_digit_string():
     # base-2 digit string, most significant first, radix point
     x = padic.parse_padic("101.01", 2)
-    assert x.to_fraction() == Fraction(5) + Fraction(1, 4)
+    assert x == Fraction(5) + Fraction(1, 4)
 
 
 def test_parse_errors_carry_positions():
@@ -38,54 +40,118 @@ def test_parse_errors_carry_positions():
     except padic.ParseError as exc:
         err = exc
     assert err is not None and err.position >= 0
+    for text, position in (("1*5^1 + 1*5^1", 7), ("19.3", 1), ("2.05", 3), ("1*5^2 +9", 7)):
+        with pytest.raises(padic.ParseError) as info:
+            padic.parse_padic(text, 5)
+        assert info.value.position == position, text
 
 
 def test_format_round_trip():
     for text in ("0", "3", "1*5^-2 + 3", "2*5^1 + 4*5^3"):
         x = padic.parse_padic(text, 5)
-        assert padic.parse_padic(padic.format_padic(x), 5) == x
+        assert padic.format_padic(x, 5) == text
+        assert padic.parse_padic(padic.format_padic(x, 5), 5) == x
 
 
 def test_fraction_round_trip():
-    x = padic.PAdic.from_fraction(3, Fraction(22, 9))
-    assert x.to_fraction() == Fraction(22, 9)
-    with pytest.raises(padic.PAdicError):
-        padic.PAdic.from_fraction(3, Fraction(1, 2))  # denominator not a 3-power
-    with pytest.raises(padic.PAdicError):
-        padic.PAdic.from_fraction(3, -1)
+    assert padic.format_padic(Fraction(22, 9), 3) == "1*3^-2 + 1*3^-1 + 2"
+    assert padic.parse_padic(padic.format_padic(Fraction(22, 9), 3), 3) == Fraction(22, 9)
+    with pytest.raises(padic.PAdicError, match="not a power of 3"):
+        padic.format_padic(Fraction(1, 2), 3)
+    with pytest.raises(padic.PAdicError, match="nonnegative"):
+        padic.format_padic(-1, 3)
 
 
 def test_arithmetic_and_negation():
     p = 5
     x = padic.parse_padic("4 + 3*5^1", p)
     y = padic.parse_padic("2*5^1", p)
-    assert padic.padic_add(x, y).to_fraction() == x.to_fraction() + y.to_fraction()
-    assert padic.padic_mul(x, y).to_fraction() == x.to_fraction() * y.to_fraction()
-    neg = padic.padic_negate(x, 4)
-    assert padic._mod_power(neg.to_fraction() + x.to_fraction(), p, 4) == 0
+    assert padic.format_padic(x + y, p) == "4 + 1*5^2"
+    assert padic.format_padic(x * y, p) == "3*5^1 + 2*5^2 + 1*5^3"
+    # -x has no finite expansion; reduced modulo p^4 it is p^4 - x
+    neg = padic.Ball.make(p, 4, -x).center
+    assert padic.format_padic(neg, p) == "1 + 1*5^1 + 4*5^2 + 4*5^3"
+    assert padic._mod_power(neg + x, p, 4) == 0
 
 
 def test_valuation_and_norm():
-    v, norm = padic.valuation_norm(padic.parse_padic("1*5^-2+3", 5))
-    assert (v, norm) == (-2, 25)
-    assert padic.valuation_norm(padic.PAdic.zero(5)) == (inf, 0)
+    x = padic.parse_padic("1*5^-2+3", 5)
+    assert padic.fraction_valuation(x, 5) == -2
+    assert Fraction(5) ** -padic.fraction_valuation(x, 5) == 25
+    assert padic.fraction_valuation(Fraction(0), 5) == inf
     assert padic.fraction_valuation(Fraction(18), 3) == 2
     assert padic.fraction_valuation(Fraction(1, 9), 3) == -2
+
+
+@pytest.mark.parametrize("p", [1, 0, -3])
+def test_valuation_refuses_p_below_2(p):
+    with pytest.raises(padic.PAdicError):
+        padic.fraction_valuation(Fraction(1, 2), p)
+    with pytest.raises(padic.PAdicError):
+        padic.character(Fraction(1, 2), p)
 
 
 def test_character_values():
     p = 2
     half = padic.parse_padic("1*2^-1", p)
     one = padic.parse_padic("1", p)
-    assert padic.character(half, one) == zeta(2)  # exp(2 pi i / 2) = -1
-    assert padic.character(one, one) == Fraction(1)  # integer product, trivial
+    assert padic.character(half * one, p) == zeta(2)  # exp(2 pi i / 2) = -1
+    assert padic.character(one * one, p) == Fraction(1)  # integer product, trivial
     q = padic.parse_padic("1*3^-2", 3)
-    assert padic.character(q, padic.parse_padic("2", 3)) == zeta(9, 2)
+    assert padic.character(q * padic.parse_padic("2", 3), 3) == zeta(9, 2)
+    with pytest.raises(padic.PAdicError):
+        padic.character(Fraction(1, 3), 2)  # not in Z[1/2]
 
 
 def test_fractional_part():
+    # only the negative-exponent digits reach the character
     x = padic.parse_padic("2*3^-2 + 1*3^-1 + 2 + 1*3^1", 3)
-    assert padic.fractional_part(x) == Fraction(2, 9) + Fraction(1, 3)
+    assert x % 1 == Fraction(2, 9) + Fraction(1, 3)
+    assert padic.character(x, 3) == padic.character(padic.parse_padic("2*3^-2 + 1*3^-1", 3), 3) == zeta(9, 5)
+
+
+@pytest.mark.parametrize("text", ["1*2^4097", "1*2^-4097", "1" + "0" * 4097, "0." + "0" * 4096 + "1"])
+def test_exponents_beyond_max_exponent_are_refused(text):
+    with pytest.raises(padic.ParseError, match="MAX_EXPONENT"):
+        padic.parse_padic(text, 2)
+
+
+def reference_from_fraction(p, q):
+    """The digit map of the removed PAdic.from_fraction."""
+    q = Fraction(q)
+    if q < 0:
+        raise padic.PAdicError("finite expansions are nonnegative; negate modulo p^M instead")
+    k = 0
+    while q.denominator % p == 0:
+        q *= p
+        k += 1
+    if q.denominator != 1:
+        raise padic.PAdicError("denominator is not a power of %d" % p)
+    n = q.numerator
+    digits = {}
+    j = -k
+    while n:
+        n, d = divmod(n, p)
+        if d:
+            digits[j] = d
+        j += 1
+    return digits
+
+
+def reference_format(p, digits):
+    """The removed format_padic, over a digit map."""
+    if not digits:
+        return "0"
+    return " + ".join(str(d) if j == 0 else "%d*%d^%d" % (d, p, j) for j, d in sorted(digits.items()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), a=st.integers(0, 10**12), k=st.integers(0, 12))
+def test_format_matches_the_digit_reference(p, a, k):
+    q = Fraction(a, p**k)
+    text = padic.format_padic(q, p)
+    assert text == reference_format(p, reference_from_fraction(p, q))
+    assert padic.parse_padic(text, p) == q
 
 
 # -- balls and Schwartz functions --------------------------------------------
@@ -93,16 +159,21 @@ def test_fractional_part():
 
 def test_ball_parse_and_contains():
     b = padic.parse_ball("1 + 2^1*Zp", 2)
-    assert b.level == 1 and b.center.to_fraction() == 1
+    assert b.level == 1 and b.center == 1
     assert b.contains(3) and not b.contains(2)
     assert padic.parse_ball(padic.format_ball(b), 2) == b
     with pytest.raises(padic.ParseError):
         padic.parse_ball("3^1*Zp", 2)  # base mismatch
+    with pytest.raises(padic.ParseError, match="MAX_EXPONENT") as info:
+        padic.parse_ball("1 + 2^-4097*Zp", 2)
+    assert info.value.position == 6
 
 
 def test_ball_center_is_reduced():
     b = padic.Ball.make(3, 1, Fraction(7))
-    assert b.center.to_fraction() == 1  # 7 mod 3
+    assert b.center == 1  # 7 mod 3
+    assert padic.Ball.make(2, -1, Fraction(7, 4)) == padic.Ball.make(2, -1, Fraction(1, 4))
+    assert padic.format_ball(padic.Ball.make(2, -1, Fraction(7, 4))) == "1*2^-2 + 2^-1*Zp"
 
 
 def test_equality_by_common_refinement():
@@ -146,7 +217,7 @@ def test_transform_of_shifted_cell():
     f = padic.indicator(padic.Ball.make(p, m, c))
     fh = padic.padic_fourier(f)
     y = Fraction(1, 2)
-    expected = padic._character_fraction(c * y, p).conjugate() * Fraction(1, 2)
+    expected = padic.character(c * y, p).conjugate() * Fraction(1, 2)
     assert EXACT.is_zero(fh.evaluate(y) - expected)
     assert EXACT.is_zero(fh.evaluate(Fraction(1, 4)))  # outside p^-1 Zp
     assert fh.evaluate(0) == Fraction(1, 2)
@@ -187,8 +258,6 @@ def test_float_oracle_agrees():
 
 
 def test_mismatched_primes_rejected():
-    with pytest.raises(padic.PAdicError):
-        padic.padic_add(padic.parse_padic("1", 2), padic.parse_padic("1", 3))
     with pytest.raises(padic.PAdicError):
         padic.schwartz_mul(padic.subgroup_indicator(2, 0), padic.subgroup_indicator(3, 0))
 
