@@ -14,11 +14,10 @@ import os
 import re
 import sys
 from fractions import Fraction
-from math import isqrt
 
 from . import core, exchange, fixtures, laurent, padic, suites
 from .report import passed
-from .scalars import backend_by_name
+from .scalars import _prime_factors, backend_by_name
 
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
@@ -254,17 +253,13 @@ def _emit(obj, output):
         print(text)
 
 
-def _is_prime(n: int) -> bool:
-    return n >= 2 and all(n % q for q in range(2, isqrt(n) + 1))
-
-
 def _primes(text):
     """Parse a comma list of primes below 2^32; argparse turns a raise into exit 2."""
     primes = [int(t) for t in text.split(",") if t.strip()]
     if not primes:
         raise argparse.ArgumentTypeError("expected a comma list of primes")
     for p in primes:
-        if not (p < 2**32 and _is_prime(p)):
+        if not (p < 2**32 and _prime_factors(p) == [p]):
             raise argparse.ArgumentTypeError("%d is not a prime below 2^32" % p)
     return primes
 

@@ -105,9 +105,6 @@ class FiniteQuantumGroup:
     def functional(self, values) -> "Functional":
         return Functional(self, [self.backend.normalize(v) for v in values])
 
-    def zero_element(self) -> "Element":
-        return self.element([0] * self.dim)
-
     def one(self) -> "Element":
         if self.unit is None:
             raise StructureError("no unit")

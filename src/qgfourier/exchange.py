@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .core import Element, FiniteQuantumGroup, Functional
+from .core import FiniteQuantumGroup
 from .padic import MAX_EXPONENT, PAdicError, SchwartzFunction, format_padic, parse_padic
 from .scalars import EXACT, scalar_from_obj, scalar_to_obj
 
@@ -89,18 +89,6 @@ def qgroup_from_obj(obj: dict) -> FiniteQuantumGroup:
         backend=EXACT,
         name=obj.get("name", "A"),
     )
-
-
-def element_to_obj(a: Element) -> dict:
-    return {"owner": a.owner.name, "coords": [scalar_to_obj(c) for c in a.coords]}
-
-
-def element_from_obj(A: FiniteQuantumGroup, obj: dict) -> Element:
-    return Element(A, [scalar_from_obj(c) for c in obj["coords"]])
-
-
-def functional_to_obj(w: Functional) -> dict:
-    return {"owner": w.owner.name, "values": [scalar_to_obj(v) for v in w.values]}
 
 
 def schwartz_to_obj(f: SchwartzFunction) -> dict:

@@ -87,11 +87,6 @@ class FiniteGroupTable:
             return cls.symmetric3()
         raise KeyError("unknown builtin group %r" % name)
 
-    def is_abelian(self) -> bool:
-        return all(
-            self.cayley[i][j] == self.cayley[j][i] for i in range(self.order) for j in range(self.order)
-        )
-
 
 BUILTIN_GROUPS = ("trivial", "Z2", "Z3", "Z4", "Z2xZ2", "S3")
 

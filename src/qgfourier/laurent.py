@@ -96,13 +96,6 @@ def pair_antipode(a: SparseElement) -> SparseElement:
     return SparseElement(a.side, {-n: c for n, c in a.support.items()}, a.backend)
 
 
-def pair_star(a: SparseElement) -> SparseElement:
-    be = a.backend
-    if a.side == CZ:
-        return SparseElement(CZ, {-n: be.conj(c) for n, c in a.support.items()}, be)
-    return SparseElement(KZ, {n: be.conj(c) for n, c in a.support.items()}, be)
-
-
 def pair_integral(a: SparseElement):
     """phi on either side: [n = 0]-weight on CZ, summation over Z on KZ."""
     if a.side == CZ:

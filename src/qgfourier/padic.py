@@ -184,13 +184,6 @@ def parse_ball(text: str, p: int) -> "Ball":
     return Ball.make(p, level, center)
 
 
-def format_ball(b: "Ball") -> str:
-    zp = "%d^%d*Zp" % (b.p, b.level)
-    if not b.center:
-        return zp
-    return "%s + %s" % (format_padic(b.center, b.p), zp)
-
-
 # ---------------------------------------------------------------------------
 # balls and Schwartz functions
 
@@ -211,9 +204,6 @@ class Ball:
     def zp(cls, p: int, scale: int = 0) -> "Ball":
         """The compact open subgroup p^scale Zp."""
         return cls.make(p, scale)
-
-    def contains(self, x) -> bool:
-        return _mod_power(Fraction(x) - self.center, self.p, self.level) == 0
 
 
 class SchwartzFunction:

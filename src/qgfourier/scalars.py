@@ -13,7 +13,10 @@ Arithmetic reduces a term first mod x^N - 1, then mod Phi_N from the highest
 exponent down.  At a prime power Phi_{p^k}(x) = Phi_p(x^(p^(k-1))) finishes
 that in one pass, so zeta_{2^k}^j stays one term and zeta_{p^k}^j has at most
 p - 1 terms.  A result has the lcm of its operands' orders: orders are never
-minimized after arithmetic, and equality always unifies first.
+minimized after arithmetic, and equality always unifies first.  Phi_N itself
+comes from the Moebius product of the (1 - x^d), and division from relative
+norms down the tower of cyclotomic fields (``Cyclotomic.inverse``), so every
+computation runs on the sparse terms.
 
 Rational values on the exact path stay plain ``Fraction`` objects, never
 order-1 ``Cyclotomic``s: the exact backend passes a ``Fraction`` through
@@ -28,67 +31,50 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from math import gcd, isqrt
+from math import gcd, lcm
 
 
-# ---------------------------------------------------------------------------
-# integer/rational polynomial helpers (dense lists, index = degree)
-
-
-def _poly_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _prime_power(n: int):
-    """(p, k) with n = p^k and k >= 1, or None."""
-    if n < 2:
-        return None
-    p = next((q for q in range(2, isqrt(n) + 1) if n % q == 0), n)
-    k = 0
-    while n % p == 0:
-        n //= p
-        k += 1
-    return (p, k) if n == 1 else None
+def _prime_factors(n: int) -> list:
+    """The distinct prime factors of n, smallest first."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + [n] if n > 1 else out
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple:
-    """Coefficients of Phi_n, low degree first, monic integer polynomial."""
+    """Coefficients of Phi_n, low degree first, monic integer polynomial.
+
+    For n > 1, Phi_n = prod_{d | n} (1 - x^d)^mu(n/d) as a power series
+    truncated at degree phi(n); only squarefree n/d contribute, each as one
+    linear pass: a product by 1 - x^d runs downward, a division upward."""
     if n < 1:
         raise ValueError("order must be positive")
     if n == 1:
         return (-1, 1)
-    pk = _prime_power(n)
-    if pk:
-        # Phi_{p^k}(x) = Phi_p(x^q) = 1 + x^q + ... + x^((p-1) q), q = p^(k-1)
-        p, k = pk
-        q = p ** (k - 1)
-        return tuple(int(i % q == 0) for i in range((p - 1) * q + 1))
-    # Phi_n = (x^n - 1) / prod_{d | n, d < n} Phi_d
-    num = [0] * (n + 1)
-    num[0], num[n] = -1, 1
-    den = [1]
-    for d in range(1, n):
-        if n % d == 0:
-            den = _poly_mul(den, list(cyclotomic_polynomial(d)))
-    q, r = _poly_full_divmod(num, [Fraction(c) for c in den])
-    assert not r
-    return tuple(int(c) for c in q)
+    primes = _prime_factors(n)
+    deg = n
+    for p in primes:
+        deg = deg // p * (p - 1)
+    series = [1] + [0] * deg
+    for mask in range(1 << len(primes)):
+        d, mu = n, 1
+        for b, p in enumerate(primes):
+            if mask >> b & 1:
+                d, mu = d // p, -mu
+        if mu > 0:
+            for i in range(deg, d - 1, -1):
+                series[i] -= series[i - d]
+        else:
+            for i in range(d, deg + 1):
+                series[i] += series[i - d]
+    return tuple(series)
 
 
 @lru_cache(maxsize=None)
@@ -260,19 +246,48 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
+        """1 / self, by relative norms down the tower of cyclotomic fields.
+
+        y starts as self with its denominators cleared, so every value
+        before the result has int terms.  At order m with
+        least prime p, rest is the product of y's conjugates over
+        Q(zeta_(m/p)), so y * rest lies in that field and is rewritten at
+        order m/p.  At order 1, y is the norm, an integer, and 1 / self is
+        the product of the rests times scale / norm."""
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic division by zero")
-        # extended gcd of self (degree < deg Phi_N) with the irreducible Phi_N
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        r0, r1 = phi, _poly_trim(list(self.coeffs))
-        s0, s1 = [], [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _poly_full_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_trim([a - b for a, b in _zip_pad(s0, _poly_mul(q, s1))])
-        lead = r1[0]
-        inv = [c / lead for c in s1]
-        return Cyclotomic(self.order, inv)
+        scale = lcm(*(c.denominator for c in self.terms.values()))
+        y = _make(self.order, {i: c.numerator * (scale // c.denominator) for i, c in self.terms.items()})
+        rests = []
+        while y.order > 1:
+            m = y.order
+            p = _prime_factors(m)[0]
+            q = m // p
+            rest = _make(m, {0: 1})
+            for k in range(1 + q, m, q):
+                if gcd(k, m) == 1:
+                    rest = rest * y.galois(k)
+            rests.append(rest)
+            y = y * rest
+            if q % p == 0:
+                # Phi_m(x) = Phi_q(x^p): a value of Q(zeta_q) has only exponents p | i
+                y = _make(q, {i // p: c for i, c in y.terms.items()})
+                continue
+            # y lies in Q(zeta_q) with p coprime to q, so its trace from
+            # Q(zeta_m), taken term by term, is (p - 1) y
+            scale *= p - 1
+            p_inv = pow(p, -1, q)
+            raw = {}
+            for i, c in y.terms.items():
+                j = i * p_inv % q
+                c = c * (p - 1) if i % p == 0 else -c
+                raw[j] = raw[j] + c if j in raw else c
+            y = _make(q, _reduce(raw, q))
+        inv = _make(1, {0: 1})
+        for rest in reversed(rests):
+            inv = rest * inv
+        norm = y.terms[0]
+        return _make(inv.order, {i: Fraction(c * scale, norm) for i, c in inv.terms.items()})
 
     def __truediv__(self, other):
         other = Cyclotomic._coerce(other)
@@ -296,6 +311,13 @@ class Cyclotomic:
         return result
 
     # -- structure maps
+
+    def galois(self, k: int) -> "Cyclotomic":
+        """The automorphism zeta_N -> zeta_N^k of Q(zeta_N), k a unit mod N."""
+        n = self.order
+        if gcd(k, n) != 1:
+            raise ValueError("%d is not a unit mod %d" % (k, n))
+        return _make(n, _reduce({i * k % n: c for i, c in self.terms.items()}, n))
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation: zeta_N -> zeta_N^(N-1), extended Q-linearly."""
@@ -347,29 +369,6 @@ class Cyclotomic:
             else:
                 terms.append("%s*z%d^%d" % (c, self.order, i))
         return "Cyc(" + " + ".join(terms) + ")"
-
-
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return zip(a, b)
-
-
-def _poly_full_divmod(a, b):
-    """Polynomial division over Q (b nonzero)."""
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    for i in range(len(a) - len(b), -1, -1):
-        top = a[i + len(b) - 1]
-        if top == 0:
-            continue
-        c = top / b[-1]
-        q[i] = c
-        for j, y in enumerate(b):
-            if y:
-                a[i + j] -= c * y
-    return _poly_trim(q), _poly_trim(a)
 
 
 def zeta(n: int, k: int = 1) -> Cyclotomic:
@@ -473,12 +472,12 @@ def scalar_to_obj(s):
     return {"order": s.order, "coeffs": [[c.numerator, c.denominator] for c in s.coeffs]}
 
 
-# The largest orders an exchanged scalar may have.  Building Phi_n at a
-# composite n costs one dense polynomial product per divisor of n, so orders
-# with several distinct prime factors are slow: on a 2-CPU machine Phi_2310
-# took about 3 s and Phi_30030 was still running after 20 s, while every
-# n <= 1024 took under 0.4 s.  At a prime power Phi_n has a closed form and
-# a root of unity at most p - 1 terms, so those orders go up to 2^14, which
+# The largest orders an exchanged scalar may have.  Phi_n is cheap at any
+# order (Phi_30030 takes 0.03 s), but at a composite order one exponent at or
+# above phi(n) makes a value dense, and a product of dense values costs about
+# phi(n)^2 Fraction products: on a 2-CPU machine squaring zeta_n^phi(n) took
+# 0.6 s at n = 1001, 0.8 s at 2310 and 234 s at 30030.  At a prime power a
+# root of unity has at most p - 1 terms, so those orders go up to 2^14, which
 # holds every order a transform within padic.MAX_CELLS writes.
 MAX_ORDER = 1024
 MAX_PRIME_POWER_ORDER = 2**14
@@ -489,7 +488,7 @@ def scalar_from_obj(obj):
     (zeta_1 = 1, so the value is the sum of the coefficients), else a
     Cyclotomic."""
     order = obj["order"]
-    if order > MAX_PRIME_POWER_ORDER or (order > MAX_ORDER and not _prime_power(order)):
+    if order > MAX_PRIME_POWER_ORDER or (order > MAX_ORDER and len(_prime_factors(order)) > 1):
         raise ValueError(
             "scalar order %s exceeds %d (%d for a prime power)" % (order, MAX_ORDER, MAX_PRIME_POWER_ORDER)
         )

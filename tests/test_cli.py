@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 from fractions import Fraction
@@ -12,8 +14,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import qgfourier
 from qgfourier import cli, exchange, fixtures, padic
-from qgfourier.scalars import zeta
+from qgfourier.scalars import scalar_to_obj, zeta
 
 
 def run(capsys, *argv):
@@ -233,8 +236,9 @@ def test_bad_input_exits_2(argv):
 
 
 def test_large_scalar_order_exits_2_quickly(tmp_path):
-    # building Phi_30030 (six distinct prime factors) ran past 20 s, so the
-    # order must be refused before any arithmetic
+    # at order 30030 one exponent at or above phi(30030) makes a value dense,
+    # and squaring it took 234 s, so the order must be refused before any
+    # arithmetic
     big = {"order": 30030, "coeffs": [[1, 1]]}
     schwartz = tmp_path / "f.json"
     schwartz.write_text(json.dumps({"p": 2, "level": 0, "cells": [{"center": "0", "value": big}]}))
@@ -246,6 +250,20 @@ def test_large_scalar_order_exits_2_quickly(tmp_path):
         code, err = run_cli(argv)
         assert time.perf_counter() - start < 2
         assert code == 2 and "error:" in err and "30030" in err
+
+
+def test_dual_with_cyclotomic_integrals_finishes_quickly(tmp_path):
+    # phi = psi = 1 + 2 zeta - 3 zeta^5 + zeta^7 / 2 at order 729: the dual
+    # divides by it, which took 9 s by the extended Euclidean algorithm
+    obj = exchange.qgroup_to_obj(fixtures.function_algebra(fixtures.FiniteGroupTable.builtin("trivial")))
+    value = 1 + 2 * zeta(729) - 3 * zeta(729, 5) + Fraction(1, 2) * zeta(729, 7)
+    obj["phi"] = obj["psi"] = [scalar_to_obj(value)]
+    group = tmp_path / "group.json"
+    group.write_text(json.dumps(obj))
+    src = os.path.dirname(os.path.dirname(qgfourier.__file__))
+    argv = [sys.executable, "-m", "qgfourier.cli", "dual", "--input", str(group), "--output", str(tmp_path / "dual.json")]
+    proc = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=3)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_large_padic_exponent_exits_2_quickly(tmp_path):

@@ -2,7 +2,8 @@
 seed and backend, of the convolution, padic and plancherel suites together
 at seed 0 on both backends, of ``dual --builtin`` per group and side, of
 ``fourier --padic`` on one ball per prime and of the ``padic`` calculator
-examples; and sha256 of the exchange bytes
+examples; sha256 of the ``dual --input`` file written for a group whose
+integrals are cyclotomic; and sha256 of the exchange bytes
 ``exchange.dumps(qgroup_to_obj(...))`` of the standard fixtures and their duals.
 
 Pass output is byte-identical for a fixed seed, so any change to a case name,
@@ -12,10 +13,13 @@ seed 0 only; the balls stay at or below 729 cells.
 """
 
 import hashlib
+import json
+from fractions import Fraction
 
 import pytest
 
 from qgfourier import cli, core, exchange, fixtures
+from qgfourier.scalars import scalar_to_obj, zeta
 
 DIGESTS = [
     ("check axioms exact 0", "5bf15606a2316bf9d8bafa3d20a87f76baebec769f85ce4bcb408cf7f908dcba"),
@@ -130,3 +134,16 @@ def test_exchange_digest(name):
         A = core.build_dual(A).dual
     text = exchange.dumps(exchange.qgroup_to_obj(A))
     assert hashlib.sha256(text.encode()).hexdigest() == EXCHANGE_DIGESTS[name]
+
+
+def test_dual_with_cyclotomic_integrals_digest(tmp_path):
+    # the one-dimensional group with phi = psi = 1 + 2 zeta - 3 zeta^5 + zeta^7 / 2
+    # at order 729: the dual divides by a genuine cyclotomic value
+    obj = exchange.qgroup_to_obj(fixtures.function_algebra(fixtures.FiniteGroupTable.builtin("trivial")))
+    value = 1 + 2 * zeta(729) - 3 * zeta(729, 5) + Fraction(1, 2) * zeta(729, 7)
+    obj["phi"] = obj["psi"] = [scalar_to_obj(value)]
+    group, out = tmp_path / "group.json", tmp_path / "dual.json"
+    group.write_text(json.dumps(obj))
+    assert cli.main(["dual", "--input", str(group), "--output", str(out)]) == 0
+    digest = "af123442ec28f8b2b8faa05b80a060e25f2016faeb3d8a96736265cae3f4c56d"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qgfourier import core, exchange, fixtures, padic
-from qgfourier.scalars import FLOAT, Cyclotomic, scalar_from_obj, zeta
+from qgfourier.scalars import FLOAT, Cyclotomic, zeta
 
 
 def _reload(A):
@@ -43,16 +43,6 @@ def test_reloaded_group_does_no_cyclotomic_arithmetic(monkeypatch):
     assert all(r.ok for r in core.verify_axioms(A))
     core.build_dual(A)
     assert built == []
-
-
-def test_element_and_functional_round_trip():
-    A = fixtures.sweedler_fixture()
-    a = A.element([1, Fraction(-2, 3), 0, 4])
-    back = exchange.element_from_obj(A, exchange.element_to_obj(a))
-    assert back == a
-    w = core.fourier(A, a)
-    obj = exchange.functional_to_obj(w)
-    assert A.functional([scalar_from_obj(v) for v in obj["values"]]) == w
 
 
 def test_schwartz_round_trip():

@@ -16,11 +16,6 @@ def test_builtin_groups():
         fixtures.FiniteGroupTable.builtin("Q8")
 
 
-def test_abelianness():
-    assert fixtures.FiniteGroupTable.builtin("Z2xZ2").is_abelian()
-    assert not fixtures.FiniteGroupTable.builtin("S3").is_abelian()
-
-
 def test_cayley_validation():
     with pytest.raises(StructureError):
         fixtures.FiniteGroupTable(2, [[0, 1]], ["e", "a"])  # wrong shape

@@ -29,8 +29,6 @@ def test_counit_antipode_star():
     assert laurent.pair_counit(d(0)) == 1
     assert laurent.pair_counit(d(3)) == 0
     assert laurent.pair_antipode(e(3)) == e(-3)
-    assert laurent.pair_star(e(3)) == e(-3)
-    assert laurent.pair_star(d(3)) == d(3)
 
 
 def test_integrals():

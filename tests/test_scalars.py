@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -362,6 +363,49 @@ def test_sparse_inverse_matches_dense_reference(x):
         return
     assert a.inverse().coeffs == _ref_inverse(a.coeffs, n)
     assert a * a.inverse() == 1
+
+
+@st.composite
+def galois_cases(draw):
+    n = draw(st.sampled_from(_REF_ORDERS))
+    k = draw(st.integers(1, n).filter(lambda k: math.gcd(k, n) == 1))
+    return k, Cyclotomic(n, _sparse_dense_list(draw, n)), Cyclotomic(n, _sparse_dense_list(draw, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(galois_cases())
+def test_galois_is_a_field_automorphism(case):
+    k, a, b = case
+    n = a.order
+    assert (a + b).galois(k) == a.galois(k) + b.galois(k)
+    assert (a * b).galois(k) == a.galois(k) * b.galois(k)
+    assert a.galois(-1) == a.conjugate()
+    assert a.galois(k).galois(pow(k, -1, n)) == a
+
+
+def test_galois_refuses_a_non_unit():
+    with pytest.raises(ValueError, match="unit"):
+        zeta(12).galois(3)
+
+
+@pytest.mark.parametrize("order", _REF_ORDERS + [990, 1001, 1020, 2048, 2187, 2401, 3125])
+def test_inverse_by_norms_beyond_the_dense_reference(order):
+    # up to four terms with denominators, at exponents below phi(order) so
+    # that the value stays sparse; the inverse is dense, and inverting it
+    # again is cheap only below order 243
+    rng = random.Random(order)
+    deg = len(cyclotomic_polynomial(order)) - 1
+    exponents = rng.sample(range(deg), min(4, deg))
+    a = Cyclotomic(order, {i: Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)) for i in exponents})
+    inv = a.inverse()
+    assert a * inv == 1
+    if order < 243:
+        assert inv.inverse() == a
+
+
+def test_cyclotomic_polynomial_matches_the_dense_reference():
+    for n in range(1, 301):
+        assert cyclotomic_polynomial(n) == tuple(_ref_phi(n)), n
 
 
 @pytest.mark.parametrize("p, k", [(2, 1), (2, 5), (2, 10), (2, 14), (3, 1), (3, 6), (5, 4), (7, 3)])
