@@ -54,10 +54,11 @@ def _basis(d: int, i: int) -> tuple:
 class FiniteQuantumGroup:
     """A finite quantum group given by its structure tensors (see above).
 
-    The group builds four caches on first use and keeps them: ``gram_phi``,
-    ``gram_psi``, ``Sinv`` (the inverse antipode) and ``mult_index`` (the
-    nonzero structure constants of ``mult`` by row).  The structure tensors
-    are therefore read-only once the group has been used.
+    The group builds its caches on first use and keeps them: ``mult_index``
+    (the nonzero structure constants of ``mult`` by row), ``gram_phi``,
+    ``gram_psi`` and one inverse of each, ``psi_hat_values``, ``Sinv`` (the
+    inverse antipode) and the nonzero rows of P and P^-1.  The structure
+    tensors are therefore read-only once the group has been used.
     """
 
     dim: int
@@ -110,16 +111,17 @@ class FiniteQuantumGroup:
             raise StructureError("no unit")
         return Element(self, list(self.unit))
 
+    def _cached(self, key, build):
+        """The cache entry key, made by build() on first use."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     # -- tensor contractions -----------------------------------------------
 
     def mult_index(self):
         """nz[i][j] = [(k, mult[i][j][k]), ...] over the nonzero constants, k rising."""
-        if "mult_index" not in self._cache:
-            be = self.backend
-            self._cache["mult_index"] = [
-                [[(k, c) for k, c in enumerate(row) if not be.is_zero(c)] for row in plane] for plane in self.mult
-            ]
-        return self._cache["mult_index"]
+        return self._cached("mult_index", lambda: [_nonzero_rows(self.backend, plane) for plane in self.mult])
 
     def mul_coords(self, x, y):
         be = self.backend
@@ -149,9 +151,7 @@ class FiniteQuantumGroup:
         return linalg.vec_mat(coords, self.antipode)
 
     def antipode_inv_matrix(self):
-        if "Sinv" not in self._cache:
-            self._cache["Sinv"] = linalg.inverse(self.antipode, self.backend)
-        return self._cache["Sinv"]
+        return self._cached("Sinv", lambda: linalg.inverse(self.antipode, self.backend))
 
     def antipode_inv_coords(self, coords):
         return linalg.vec_mat(coords, self.antipode_inv_matrix())
@@ -176,14 +176,25 @@ class FiniteQuantumGroup:
 
     def gram_phi(self):
         """P[i][j] = phi(a_i a_j); the pairing matrix of the dual basis."""
-        if "gram_phi" not in self._cache:
-            self._cache["gram_phi"] = self._gram(self.left_integral)
-        return self._cache["gram_phi"]
+        return self._cached("gram_phi", lambda: self._gram(self.left_integral))
 
     def gram_psi(self):
-        if "gram_psi" not in self._cache:
-            self._cache["gram_psi"] = self._gram(self.right_integral)
-        return self._cache["gram_psi"]
+        return self._cached("gram_psi", lambda: self._gram(self.right_integral))
+
+    def gram_inverse(self, left=True):
+        """The inverse of gram_phi (left) or gram_psi, eliminated once.  An
+        integral is faithful exactly when it exists: FaithfulnessError if not."""
+        key = "gram_phi_inv" if left else "gram_psi_inv"
+        if key not in self._cache:
+            try:
+                self._cache[key] = linalg.inverse(self.gram_phi() if left else self.gram_psi(), self.backend)
+            except linalg.SingularMatrixError as exc:
+                raise FaithfulnessError("%s integral is not faithful" % ("left" if left else "right")) from exc
+        return self._cache[key]
+
+    def psi_hat_values(self):
+        """eps P^-1: psi_hat(e^k) on the basis dual to a_k, the dual's right integral."""
+        return self._cached("psi_hat", lambda: linalg.vec_mat(self.counit, self.gram_inverse()))
 
 
 @dataclass
@@ -407,9 +418,12 @@ def _invariance(A, left):
         yield "basis %d" % i, acc, [integral[i] * u for u in A.unit]
 
 
-def _faithfulness(A, gram):
-    """An integral is faithful when its Gram matrix has nullity 0."""
-    yield "singular Gram matrix", [len(linalg.nullspace(gram, A.backend))], [0]
+def _faithfulness(A, left):
+    """An integral is faithful when its Gram matrix has an inverse."""
+    try:
+        A.gram_inverse(left)
+    except FaithfulnessError:
+        yield "singular Gram matrix", [1], [0]
 
 
 def _star_involution(A):
@@ -457,8 +471,8 @@ _AXIOMS = (
     ("antipode law", "unit", _antipode_law),
     ("left invariance", "unit", lambda A: _invariance(A, left=True)),
     ("right invariance", "unit", lambda A: _invariance(A, left=False)),
-    ("faithfulness of phi", None, lambda A: _faithfulness(A, A.gram_phi())),
-    ("faithfulness of psi", None, lambda A: _faithfulness(A, A.gram_psi())),
+    ("faithfulness of phi", None, lambda A: _faithfulness(A, left=True)),
+    ("faithfulness of psi", None, lambda A: _faithfulness(A, left=False)),
     ("star involution", "star", _star_involution),
     ("star antihomomorphism", "star", _star_antihomomorphism),
     ("coproduct *-homomorphism", "star", _comult_star_homomorphism),
@@ -496,14 +510,8 @@ def _transpose(A: FiniteQuantumGroup) -> FiniteQuantumGroup:
     """
     be = A.backend
     d = A.dim
-    try:
-        gram_phi_inv = linalg.inverse(A.gram_phi(), be)
-    except linalg.SingularMatrixError as exc:
-        raise FaithfulnessError("left integral is not faithful") from exc
-    try:
-        gram_psi_t_inv = linalg.inverse(linalg.transpose(A.gram_psi()), be)
-    except linalg.SingularMatrixError as exc:
-        raise FaithfulnessError("right integral is not faithful") from exc
+    right_integral = A.psi_hat_values()
+    left_integral = linalg.mat_vec(A.gram_inverse(left=False), A.counit)  # eps (Q^T)^-1
     zero = A.zero_scalar()
     mult = [[[zero] * d for _ in range(d)] for _ in range(d)]
     for k, terms in enumerate(A.comult):
@@ -526,8 +534,8 @@ def _transpose(A: FiniteQuantumGroup) -> FiniteQuantumGroup:
         antipode=linalg.transpose(A.antipode),
         star=star,
         unit=A.counit,
-        left_integral=linalg.vec_mat(A.counit, gram_psi_t_inv),
-        right_integral=linalg.vec_mat(A.counit, gram_phi_inv),
+        left_integral=left_integral,
+        right_integral=right_integral,
         backend=be,
         name=A.name,
     )
@@ -538,16 +546,20 @@ def build_dual(A: FiniteQuantumGroup) -> DualResult:
     if A.unit is None:
         raise StructureError("the dual construction needs a unit")
     P = A.gram_phi()
-    dual = transport(_transpose(A), linalg.transpose(P), name="dual(%s)" % A.name)
+    dual = _transport(_transpose(A), linalg.transpose(P), linalg.transpose(A.gram_inverse()), "dual(%s)" % A.name)
     dual.basis_labels = ["w[%s]" % lbl for lbl in A.basis_labels]
     return DualResult(dual=dual, pairing=P)
 
 
 def transport(A: FiniteQuantumGroup, M, name=None) -> FiniteQuantumGroup:
     """Re-express A on the basis b_x = sum_i M[x][i] a_i."""
+    return _transport(A, M, linalg.inverse(M, A.backend), name)
+
+
+def _transport(A, M, Minv, name):
+    """transport, given Minv = M^-1."""
     be = A.backend
     d = A.dim
-    Minv = linalg.inverse(M, be)
     mult = [[linalg.vec_mat(A.mul_coords(M[x], M[y]), Minv) for y in range(d)] for x in range(d)]
     comult = []
     for x in range(d):
@@ -606,28 +618,36 @@ def tensor_differences(A: FiniteQuantumGroup, B: FiniteQuantumGroup):
 # Fourier transform and friends
 
 
+def _nonzero_rows(be, M):
+    """rows[i] = [(k, M[i][k]), ...] over the nonzero entries, k rising."""
+    return [[(k, c) for k, c in enumerate(row) if not be.is_zero(c)] for row in M]
+
+
+def _times(A, key, matrix, v):
+    """M v for M = matrix(), from its nonzero rows, which A caches under key."""
+    rows = A._cached(key, lambda: _nonzero_rows(A.backend, matrix()))
+    zero = A.zero_scalar()
+    return [sum((c * v[k] for k, c in row), zero) for row in rows]
+
+
 def fourier(A: FiniteQuantumGroup, a: Element) -> Functional:
-    """F(a) = phi(. a), returned by its values on the basis."""
+    """F(a) = phi(. a) = P a, returned by its values on the basis.  Needs no
+    inverse, so it transforms even when phi is not faithful."""
     if a.owner is not A:
         raise OwnerMismatchError("element does not belong to this quantum group")
-    P = A.gram_phi()
-    return Functional(A, linalg.mat_vec(P, a.coords))
+    return Functional(A, _times(A, "gram_phi rows", A.gram_phi, a.coords))
 
 
 def inverse_fourier(A: FiniteQuantumGroup, w: Functional) -> Element:
-    """The unique a with phi(. a) = w, by exact solve against the Gram matrix."""
+    """The unique a with phi(. a) = w: a = P^-1 w, by the group's one Gram inverse."""
     if w.owner is not A:
         raise OwnerMismatchError("functional does not belong to this quantum group")
-    try:
-        coords = linalg.solve(A.gram_phi(), w.values, A.backend)
-    except linalg.SingularMatrixError as exc:
-        raise FaithfulnessError("left integral is not faithful") from exc
-    return Element(A, coords)
+    return Element(A, _times(A, "gram_phi_inv rows", A.gram_inverse, w.values))
 
 
 def psi_hat(A: FiniteQuantumGroup, w: Functional):
-    """Dual right integral: psi_hat(phi(. a)) = eps(a)."""
-    return A.counit_of(inverse_fourier(A, w).coords)
+    """Dual right integral: psi_hat(phi(. a)) = eps(a) = (eps P^-1) w."""
+    return sum((v * x for v, x in zip(A.psi_hat_values(), w.values)), A.zero_scalar())
 
 
 def epsilon_hat(A: FiniteQuantumGroup, w: Functional):
@@ -640,16 +660,14 @@ def convolve(A: FiniteQuantumGroup, a: Element, b: Element) -> Element:
     if a.owner is not A or b.owner is not A:
         raise OwnerMismatchError("elements do not belong to this quantum group")
     be = A.backend
-    d = A.dim
-    Pa = linalg.mat_vec(A.gram_phi(), a.coords)  # Pa[m] = phi(a_m a)
-    Sinv = A.antipode_inv_matrix()
-    out = [A.zero_scalar()] * d
+    Pa = _times(A, "gram_phi rows", A.gram_phi, a.coords)  # Pa[m] = phi(a_m a)
+    scal = linalg.mat_vec(A.antipode_inv_matrix(), Pa)  # scal[j] = phi(S^-1(a_j) a)
+    out = [A.zero_scalar()] * A.dim
     for i, bi in enumerate(b.coords):
         if be.is_zero(bi):
             continue
         for j, k, c in A.comult[i]:
-            scal = sum(Sinv[j][m] * Pa[m] for m in range(d))
-            out[k] = out[k] + bi * c * scal
+            out[k] = out[k] + bi * c * scal[j]
     return Element(A, out)
 
 
@@ -658,16 +676,13 @@ def convolve_alt(A: FiniteQuantumGroup, a: Element, b: Element) -> Element:
     if a.owner is not A or b.owner is not A:
         raise OwnerMismatchError("elements do not belong to this quantum group")
     be = A.backend
-    d = A.dim
-    sb = A.antipode_inv_coords(b.coords)
-    P = A.gram_phi()
-    out = [A.zero_scalar()] * d
+    scal = linalg.vec_mat(A.antipode_inv_coords(b.coords), A.gram_phi())  # scal[k] = phi(S^-1(b) a_k)
+    out = [A.zero_scalar()] * A.dim
     for i, ai in enumerate(a.coords):
         if be.is_zero(ai):
             continue
         for j, k, c in A.comult[i]:
-            scal = sum(sb[m] * P[m][k] for m in range(d))
-            out[j] = out[j] + ai * c * scal
+            out[j] = out[j] + ai * c * scal[k]
     return Element(A, out)
 
 

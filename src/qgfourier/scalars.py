@@ -488,6 +488,8 @@ def scalar_from_obj(obj):
     (zeta_1 = 1, so the value is the sum of the coefficients), else a
     Cyclotomic."""
     order = obj["order"]
+    if type(order) is not int or order < 1:  # not 1.0 or True, which compare equal to 1
+        raise ValueError("scalar order %r is not a positive integer" % (order,))
     if order > MAX_PRIME_POWER_ORDER or (order > MAX_ORDER and len(_prime_factors(order)) > 1):
         raise ValueError(
             "scalar order %s exceeds %d (%d for a prime power)" % (order, MAX_ORDER, MAX_PRIME_POWER_ORDER)

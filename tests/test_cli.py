@@ -165,6 +165,27 @@ def test_dual_axiom_failure_exits_3(tmp_path, capsys):
     assert all(json.loads(line)["status"] == "fail" for line in out.splitlines() if line)
 
 
+def _zero_integral_group(tmp_path):
+    """The one-dimensional group with phi = psi = 0: its Gram matrix is singular."""
+    obj = exchange.qgroup_to_obj(fixtures.function_algebra(fixtures.FiniteGroupTable.builtin("trivial")))
+    obj["phi"] = obj["psi"] = [scalar_to_obj(0)]
+    group = tmp_path / "zero.json"
+    group.write_text(json.dumps(obj))
+    return str(group)
+
+
+@pytest.mark.parametrize("element", ["[1]", "[0]"])
+def test_inverse_fourier_of_an_unfaithful_integral_exits_3(tmp_path, capsys, element):
+    group = _zero_integral_group(tmp_path)
+    code, out, err = run(capsys, "fourier", "--input", group, "--inverse", "--element", element)
+    assert code == 3 and out == "" and "left integral is not faithful" in err
+
+
+def test_forward_fourier_of_an_unfaithful_integral_still_transforms(tmp_path, capsys):
+    code, out, _ = run(capsys, "fourier", "--input", _zero_integral_group(tmp_path), "--element", "[1]")
+    assert code == 0 and json.loads(out) == [0]
+
+
 # -- check --------------------------------------------------------------------
 
 
@@ -233,6 +254,18 @@ def test_bad_input_exits_2(argv):
     code, err = run_cli(argv)
     assert code == 2
     assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("order", [1.0, True, 2.0, "8", 0], ids=repr)
+def test_scalar_order_that_is_not_a_positive_integer_exits_2(tmp_path, order):
+    bad = {"order": order, "coeffs": [[1, 1]]}
+    obj = exchange.qgroup_to_obj(fixtures.function_algebra(fixtures.FiniteGroupTable.builtin("Z2")))
+    obj["counit"][0] = bad
+    group = tmp_path / "group.json"
+    group.write_text(json.dumps(obj))
+    for argv in (["fourier", "--builtin", "Z2", "--element", json.dumps([bad, 1])], ["dual", "--input", str(group)]):
+        code, err = run_cli(argv)
+        assert code == 2 and "scalar order %r" % (order,) in err and "Traceback" not in err
 
 
 def test_large_scalar_order_exits_2_quickly(tmp_path):

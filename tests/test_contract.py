@@ -3,7 +3,8 @@ seed and backend, of the convolution, padic and plancherel suites together
 at seed 0 on both backends, of ``dual --builtin`` per group and side, of
 ``fourier --padic`` on one ball per prime and of the ``padic`` calculator
 examples; sha256 of the ``dual --input`` file written for a group whose
-integrals are cyclotomic; and sha256 of the exchange bytes
+integrals are cyclotomic, and of ``fourier`` forward and ``--inverse`` on that
+group and on both sides of S3; and sha256 of the exchange bytes
 ``exchange.dumps(qgroup_to_obj(...))`` of the standard fixtures and their duals.
 
 Pass output is byte-identical for a fixed seed, so any change to a case name,
@@ -136,14 +137,47 @@ def test_exchange_digest(name):
     assert hashlib.sha256(text.encode()).hexdigest() == EXCHANGE_DIGESTS[name]
 
 
-def test_dual_with_cyclotomic_integrals_digest(tmp_path):
-    # the one-dimensional group with phi = psi = 1 + 2 zeta - 3 zeta^5 + zeta^7 / 2
-    # at order 729: the dual divides by a genuine cyclotomic value
+def _cyclotomic_group(tmp_path):
+    """The file of the one-dimensional group with phi = psi = 1 + 2 zeta - 3 zeta^5
+    + zeta^7 / 2 at order 729: its dual and its transforms divide by a genuine
+    cyclotomic value."""
     obj = exchange.qgroup_to_obj(fixtures.function_algebra(fixtures.FiniteGroupTable.builtin("trivial")))
     value = 1 + 2 * zeta(729) - 3 * zeta(729, 5) + Fraction(1, 2) * zeta(729, 7)
     obj["phi"] = obj["psi"] = [scalar_to_obj(value)]
-    group, out = tmp_path / "group.json", tmp_path / "dual.json"
+    group = tmp_path / "group.json"
     group.write_text(json.dumps(obj))
+    return group
+
+
+def test_dual_with_cyclotomic_integrals_digest(tmp_path):
+    group, out = _cyclotomic_group(tmp_path), tmp_path / "dual.json"
     assert cli.main(["dual", "--input", str(group), "--output", str(out)]) == 0
     digest = "af123442ec28f8b2b8faa05b80a060e25f2016faeb3d8a96736265cae3f4c56d"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+FOURIER_ELEMENTS = {
+    "S3": [1, -2, "1/3", 0, 5, "-7/2"],
+    "cyclotomic": [scalar_to_obj(Fraction(3, 2) - zeta(729, 4) + 2 * zeta(729, 11))],
+}
+
+FOURIER_DIGESTS = {
+    "S3 function-algebra": "bcc3d562022231112c99729ec75c346fa1f99eab52a4f81f9efa8dc97ae6d8c1",
+    "S3 function-algebra --inverse": "bcc3d562022231112c99729ec75c346fa1f99eab52a4f81f9efa8dc97ae6d8c1",
+    "S3 group-algebra": "548623f2bd09388ff7080b19f543f46baa26df9669ada060b5a2c50927d649d7",
+    "S3 group-algebra --inverse": "548623f2bd09388ff7080b19f543f46baa26df9669ada060b5a2c50927d649d7",
+    "cyclotomic": "985dae3865e8ff1954688d5531f2d8b64cf5c7ad2f3ebf4649d699fb77865652",
+    "cyclotomic --inverse": "b8c212f3f5e325b879712ebb7992ed3713378b4c30736c0e519dad924e78bf53",
+}
+
+
+@pytest.mark.parametrize("command", FOURIER_DIGESTS)
+def test_finite_fourier_digest(tmp_path, capsys, command):
+    group, *rest = command.split()
+    argv = ["fourier", "--element", json.dumps(FOURIER_ELEMENTS[group])] + [a for a in rest if a == "--inverse"]
+    if group == "S3":
+        argv += ["--builtin", "S3", "--side", rest[0]]
+    else:
+        argv += ["--input", str(_cyclotomic_group(tmp_path))]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == FOURIER_DIGESTS[command]

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from qgfourier import core, fixtures, linalg, suites
+from qgfourier import core, exchange, fixtures, linalg, suites
 from qgfourier.report import passed
-from qgfourier.scalars import EXACT, FLOAT
+from qgfourier.scalars import EXACT, FLOAT, Cyclotomic, zeta
 
 FIXTURES = fixtures.standard_fixtures(EXACT)
 
@@ -384,3 +384,128 @@ def test_float_backend_round_trip():
         a = A.element([complex(rng.randint(-3, 3)) for _ in range(4)])
         back = core.inverse_fourier(A, core.fourier(A, a))
         assert all(abs(x - y) <= 1e-9 for x, y in zip(back.coords, a.coords))
+
+
+# -- one Gram inverse per group ----------------------------------------------
+#
+# The references below are the formulas the cached Gram inverse replaced: an
+# exact solve against P on every inverse transform and psi_hat, and the d-term
+# sums recomputed inside the comultiplication loop of both convolutions.
+
+
+def _mat_vec_fourier(A, a):
+    return linalg.mat_vec(A.gram_phi(), a.coords)
+
+
+def _solve_inverse_fourier(A, w):
+    return linalg.solve(A.gram_phi(), w.values, A.backend)
+
+
+def _solve_psi_hat(A, w):
+    return A.counit_of(_solve_inverse_fourier(A, w))
+
+
+def _in_loop_convolve(A, a, b):
+    d = A.dim
+    Pa = linalg.mat_vec(A.gram_phi(), a.coords)
+    Sinv = A.antipode_inv_matrix()
+    out = [A.zero_scalar()] * d
+    for i, bi in enumerate(b.coords):
+        if A.backend.is_zero(bi):
+            continue
+        for j, k, c in A.comult[i]:
+            scal = sum(Sinv[j][m] * Pa[m] for m in range(d))
+            out[k] = out[k] + bi * c * scal
+    return out
+
+
+def _in_loop_convolve_alt(A, a, b):
+    d = A.dim
+    sb = A.antipode_inv_coords(b.coords)
+    P = A.gram_phi()
+    out = [A.zero_scalar()] * d
+    for i, ai in enumerate(a.coords):
+        if A.backend.is_zero(ai):
+            continue
+        for j, k, c in A.comult[i]:
+            scal = sum(sb[m] * P[m][k] for m in range(d))
+            out[j] = out[j] + ai * c * scal
+    return out
+
+
+_CYCLOTOMIC_INTEGRAL = 1 + 2 * zeta(729) - 3 * zeta(729, 5) + Fraction(1, 2) * zeta(729, 7)
+
+
+def _gram_fixtures(backend):
+    """Every standard fixture, H4 and C[S3] on a basis whose Gram matrix has
+    no zero entry, and the one-dimensional group whose integrals are the
+    cyclotomic value above at order 729."""
+    out = fixtures.standard_fixtures(backend)
+    for name, A in list(out):
+        if name in ("H4", "C[S3]"):
+            d = A.dim
+            out.append((name + " dense", core.transport(A, [[2 if x == i else 1 for i in range(d)] for x in range(d)])))
+    A = fixtures.function_algebra(fixtures.FiniteGroupTable.builtin("trivial"), backend)
+    A.left_integral = A.right_integral = [backend.normalize(_CYCLOTOMIC_INTEGRAL)]
+    out.append(("cyclotomic", A))
+    return out
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT], ids=["exact", "float"])
+def test_gram_inverse_matches_the_per_call_references(backend):
+    # exact values agree in their representation too: the same order and the
+    # same terms; float values agree within the tolerance
+    def same(got, want):
+        assert len(got) == len(want)
+        for x, y in zip(got, want):
+            if not backend.exact:
+                assert abs(x - y) <= backend.tolerance * max(1, abs(y)), (x, y)
+            elif isinstance(y, Cyclotomic):
+                assert isinstance(x, Cyclotomic) and (x.order, x.terms) == (y.order, y.terms), (x, y)
+            else:
+                assert type(x) is type(y) and x == y, (x, y)
+        return True
+
+    rng = random.Random(14)
+
+    def scalar(cyclotomic):
+        if rng.random() < 0.3:
+            return 0
+        q = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        return q * zeta(729, rng.randrange(729)) + 1 if cyclotomic else q
+
+    for name, A in _gram_fixtures(backend):
+        for _ in range(6):
+            a, b = (A.element([scalar(name == "cyclotomic") for _ in range(A.dim)]) for _ in range(2))
+            w = core.fourier(A, a)
+            assert same(w.values, _mat_vec_fourier(A, a)), name
+            for v in (w, A.functional(b.coords)):
+                assert same(core.inverse_fourier(A, v).coords, _solve_inverse_fourier(A, v)), name
+                assert same([core.psi_hat(A, v)], [_solve_psi_hat(A, v)]), name
+            assert same(core.convolve(A, a, b).coords, _in_loop_convolve(A, a, b)), name
+            assert same(core.convolve_alt(A, a, b).coords, _in_loop_convolve_alt(A, a, b)), name
+
+
+def test_a_group_eliminates_each_gram_matrix_once(monkeypatch):
+    calls = []
+    echelon = linalg._echelon
+    monkeypatch.setattr(linalg, "_echelon", lambda m, backend: calls.append(len(m)) or echelon(m, backend))
+    Z4 = fixtures.FiniteGroupTable.cyclic(4)
+    A = fixtures.function_algebra(fixtures.FiniteGroupTable.product(Z4, Z4))
+    rng = random.Random(16)
+    elements = [A.element([rng.randint(-3, 3) for _ in range(A.dim)]) for _ in range(100)]
+    core.psi_hat(A, core.fourier(A, elements[0]))  # first use: P^-1, once
+    assert len(calls) == 1
+    calls.clear()
+    for a in elements:
+        w = core.fourier(A, a)
+        assert core.inverse_fourier(A, w) == a
+        core.psi_hat(A, w)
+    assert calls == []
+    # a cold request: the two faithfulness cases invert P and Q, and the dual
+    # reuses both inverses (the per-call code eliminated 5 times)
+    B = exchange.qgroup_from_obj(exchange.qgroup_to_obj(A))
+    assert passed(core.verify_axioms(B))
+    core.build_dual(B)
+    assert calls == [16, 16]
+

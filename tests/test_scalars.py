@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -428,4 +429,11 @@ def test_prime_power_orders_above_1024_read_back(order):
 @pytest.mark.parametrize("order", [1026, 2 * 3**7, 2**15, 30030])
 def test_orders_above_their_bound_are_refused(order):
     with pytest.raises(ValueError, match="exceeds"):
+        scalar_from_obj({"order": order, "coeffs": [[1, 1]]})
+
+
+@pytest.mark.parametrize("order", [1.0, True, 2.0, "8", 0, -3, None], ids=repr)
+def test_orders_that_are_not_positive_integers_are_refused(order):
+    # 1.0 and True compare equal to 1 and used to read as order 1
+    with pytest.raises(ValueError, match=re.escape("scalar order %r is not a positive integer" % (order,))):
         scalar_from_obj({"order": order, "coeffs": [[1, 1]]})
