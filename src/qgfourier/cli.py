@@ -14,6 +14,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from math import inf
 
 from . import core, exchange, fixtures, laurent, padic, suites
 from .report import passed
@@ -195,7 +196,12 @@ def cmd_check(args) -> int:
     for n in names:
         if n not in suites.SUITES:
             raise CliError("unknown suite %r (have: %s)" % (n, ", ".join(suites.SUITES)), EXIT_INPUT_ERROR)
-    backend = backend_by_name(args.backend, args.tolerance)
+    if not 0 <= args.tolerance < inf:  # nan fails both comparisons
+        raise CliError("--tolerance %s is not a finite number >= 0" % args.tolerance, EXIT_INPUT_ERROR)
+    try:
+        backend = backend_by_name(args.backend, args.tolerance)
+    except ValueError as exc:  # argparse checks --backend against its choices, not the default
+        raise CliError("%s (from QGFOURIER_BACKEND)" % exc, EXIT_INPUT_ERROR)
     reports = suites.run_suites(names, backend=backend, seed=args.seed, primes=args.prime)
     counts = {"pass": 0, "fail": 0, "skip": 0}
     for r in reports:

@@ -9,9 +9,10 @@ because -1 has an infinite expansion.
 
 Locally constant compactly supported functions are stored as a finite set of
 disjoint balls at one uniform level with scalar values; equality is decided
-on a common refinement.  The Fourier transform, convolution and the Haar
-integral are exact: character values are roots of unity of p-power order,
-so everything lives in cyclotomic fields.
+on a common refinement.  On the exact backend the Fourier transform,
+convolution and the Haar integral are exact: character values are roots of
+unity of p-power order, so everything lives in cyclotomic fields.  The float
+backend computes the characters with cmath and never builds a Cyclotomic.
 """
 
 from __future__ import annotations
@@ -69,13 +70,16 @@ def fraction_valuation(q: Fraction, p: int):
     return v
 
 
-def character(q: Fraction, p: int) -> Cyclotomic:
-    """exp(2 pi i {q}_p) for q in Z[1/p], an exact root of unity of p-power order."""
+def character(q: Fraction, p: int, backend: Backend = EXACT):
+    """exp(2 pi i {q}_p) for q in Z[1/p]: on the exact backend a root of unity
+    of p-power order, on the float backend a complex number from cmath."""
     frac = q - q.__floor__()
     if frac == 0:
-        return Cyclotomic.one()
+        return Cyclotomic.one() if backend.exact else 1 + 0j
     if fraction_valuation(frac, p) >= 0 or frac.denominator == 1:
         raise PAdicError("%s is not in Z[1/%d]" % (q, p))
+    if not backend.exact:
+        return cmath.exp(2j * cmath.pi * float(frac))
     return zeta(frac.denominator, frac.numerator)
 
 
@@ -206,8 +210,18 @@ class Ball:
         return cls.make(p, scale)
 
 
+def _make(p: int, level: int, cells: dict, backend: Backend) -> "SchwartzFunction":
+    """A SchwartzFunction from keys already reduced mod p^level and normalized
+    values, zeros dropped; ``SchwartzFunction(...)`` reduces any other cells."""
+    f = object.__new__(SchwartzFunction)
+    f.p, f.level, f.backend = p, level, backend
+    f.cells = {c: v for c, v in cells.items() if not backend.is_zero(v)}
+    return f
+
+
 class SchwartzFunction:
-    """Locally constant, compactly supported: cells at one level with values."""
+    """Locally constant, compactly supported: cells at one level with values,
+    each key reduced mod p^level and each value normalized and nonzero."""
 
     __slots__ = ("p", "level", "cells", "backend")
 
@@ -244,7 +258,7 @@ class SchwartzFunction:
         for c, v in self.cells.items():
             for t in range(self.p ** (level - self.level)):
                 out[c + t * step] = v
-        return SchwartzFunction(self.p, level, out, self.backend)
+        return _make(self.p, level, out, self.backend)
 
     def evaluate(self, x):
         key = _mod_power(Fraction(x), self.p, self.level)
@@ -260,7 +274,7 @@ class SchwartzFunction:
 
     def conjugate(self) -> "SchwartzFunction":
         be = self.backend
-        return SchwartzFunction(self.p, self.level, {c: be.conj(v) for c, v in self.cells.items()}, be)
+        return _make(self.p, self.level, {c: be.conj(v) for c, v in self.cells.items()}, be)
 
     def translated(self, shift) -> "SchwartzFunction":
         q = Fraction(shift)
@@ -306,7 +320,7 @@ def schwartz_add(f: SchwartzFunction, g: SchwartzFunction) -> SchwartzFunction:
     out = dict(a.cells)
     for c, v in b.cells.items():
         out[c] = out.get(c, f.backend.normalize(0)) + v
-    return SchwartzFunction(f.p, lvl, out, f.backend)
+    return _make(f.p, lvl, out, f.backend)
 
 
 def schwartz_scale(s, f: SchwartzFunction) -> SchwartzFunction:
@@ -318,7 +332,7 @@ def schwartz_mul(f: SchwartzFunction, g: SchwartzFunction) -> SchwartzFunction:
     lvl = max(f.level, g.level)
     a, b = f.refined(lvl), g.refined(lvl)
     out = {c: v * b.cells[c] for c, v in a.cells.items() if c in b.cells}
-    return SchwartzFunction(f.p, lvl, out, f.backend)
+    return _make(f.p, lvl, out, f.backend)
 
 
 def haar_integral(f: SchwartzFunction, scale=Fraction(1)):
@@ -344,7 +358,7 @@ def schwartz_convolve(f: SchwartzFunction, g: SchwartzFunction, scale=Fraction(1
             key = _mod_power(c1 + c2, f.p, lvl)
             term = v1 * v2 * w
             out[key] = out.get(key, f.backend.normalize(0)) + term
-    return SchwartzFunction(f.p, lvl, out, f.backend)
+    return _make(f.p, lvl, out, f.backend)
 
 
 # The most cells a transform may produce.  A function with window (n, m)
@@ -355,7 +369,8 @@ MAX_CELLS = 4096
 
 
 def padic_fourier(f: SchwartzFunction, scale=Fraction(1)) -> SchwartzFunction:
-    """F(f)(y) = integral of f(x) conj(chi(x, y)) dx, exact.
+    """F(f)(y) = integral of f(x) conj(chi(x, y)) dx, exact on the exact
+    backend; the float backend computes the characters with cmath.
 
     One cell transforms to a conjugated character times the indicator of
     p^-m Zp; the character factor is locally constant at level
@@ -368,20 +383,16 @@ def padic_fourier(f: SchwartzFunction, scale=Fraction(1)) -> SchwartzFunction:
         raise PAdicError("the transform of a function on window (%d, %d) has %d^%d cells, more than %d"
                          % (n, m, p, m - n, MAX_CELLS))
     be = f.backend
+    step = Fraction(p) ** (-m)
+    measure = be.normalize(Fraction(scale) * step)
     pieces = []
     for c, v in f.cells.items():
         vc = fraction_valuation(c, p)
         L = -m if vc is inf else max(-vc, -m)
-        measure = Fraction(scale) * Fraction(p) ** (-m)
         cells = {}
-        step = Fraction(1, 1) * Fraction(p) ** (-m)
         for t in range(p ** (L + m)):
             y0 = t * step
-            chi = character(c * y0, p).conjugate()
-            val = chi * measure
-            if not be.exact:
-                val = val.numeric_value()
-            cells[y0] = v * val
+            cells[y0] = v * (be.conj(character(c * y0, p, be)) * measure)
         pieces.append(SchwartzFunction(p, L, cells, be))
     out = SchwartzFunction.zero(p, be)
     for piece in pieces:

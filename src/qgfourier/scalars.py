@@ -342,11 +342,9 @@ class Cyclotomic:
         return self.terms.get(0, _ZERO)
 
     def numeric_value(self) -> complex:
-        z = cmath.exp(2j * cmath.pi / self.order)
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + complex(c)
-        return acc
+        """The sum of c exp(2 pi i k / N) over the terms c zeta_N^k."""
+        n = self.order
+        return sum((complex(c) * cmath.exp(2j * cmath.pi * (k / n)) for k, c in self.terms.items()), 0j)
 
     # -- comparisons
 

@@ -256,6 +256,27 @@ def test_bad_input_exits_2(argv):
     assert "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("tolerance", ["-1", "nan", "inf", "abc"])
+def test_check_tolerance_must_be_finite_and_nonnegative(tolerance):
+    # -1 and nan used to reach a ZeroDivisionError in elimination, and inf
+    # exited 3 on a wrong integral space
+    code, err = run_cli(["check", "--suite", "all", "--backend", "float", "--tolerance", tolerance])
+    assert code == 2 and "Traceback" not in err
+    assert "error:" in err.splitlines()[-1] and tolerance in err.splitlines()[-1]
+
+
+def test_check_tolerance_zero_is_accepted():
+    code, err = run_cli(["check", "--suite", "axioms", "--backend", "float", "--tolerance", "0"])
+    assert code in (0, 1) and "Traceback" not in err
+
+
+def test_check_unknown_backend_from_the_environment_exits_2(monkeypatch):
+    # argparse does not check a default against its choices
+    monkeypatch.setenv("QGFOURIER_BACKEND", "bogus")
+    code, err = run_cli(["check", "--suite", "axioms"])
+    assert code == 2 and "'bogus'" in err and "QGFOURIER_BACKEND" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("order", [1.0, True, 2.0, "8", 0], ids=repr)
 def test_scalar_order_that_is_not_a_positive_integer_exits_2(tmp_path, order):
     bad = {"order": order, "coeffs": [[1, 1]]}

@@ -1,16 +1,18 @@
 """Pin the output contract: sha256 of the stdout of ``check`` per fast suite,
 seed and backend, of the convolution, padic and plancherel suites together
-at seed 0 on both backends, of ``dual --builtin`` per group and side, of
-``fourier --padic`` on one ball per prime and of the ``padic`` calculator
-examples; sha256 of the ``dual --input`` file written for a group whose
-integrals are cyclotomic, and of ``fourier`` forward and ``--inverse`` on that
-group and on both sides of S3; and sha256 of the exchange bytes
-``exchange.dumps(qgroup_to_obj(...))`` of the standard fixtures and their duals.
+at seed 0 on both backends and at seed 42 on the float backend, of ``dual
+--builtin`` per group and side, of ``fourier --padic`` on one ball per prime
+and of the ``padic`` calculator examples; sha256 of the ``dual --input`` file
+written for a group whose integrals are cyclotomic, and of ``fourier``
+forward and ``--inverse`` on that group and on both sides of S3; and sha256
+of the exchange bytes ``exchange.dumps(qgroup_to_obj(...))`` of the standard
+fixtures and their duals.
 
 Pass output is byte-identical for a fixed seed, so any change to a case name,
 its order, the record layout, a dual's exchange text or the reduced-basis
 coefficients of a p-adic transform shows up here.  The slow suites run at
-seed 0 only; the balls stay at or below 729 cells.
+seed 0, and on the float backend also at seed 42, the other seed check-float
+benchmarks; the balls stay at or below 729 cells.
 """
 
 import hashlib
@@ -57,6 +59,7 @@ DIGESTS = [
     ("check duality float 42", "0d065553829bbdc5bb5b1c0da98e939c2c8ac79c45fa76627ba1cb8950b9b48a"),
     ("check convolution,padic,plancherel exact 0", "08b7161bf6cb28d4f324daf3fe9f8278ff672f7662a90d82de254acc1cc51093"),
     ("check convolution,padic,plancherel float 0", "b72bcc68bf04c918f731ae37b21ac763287b0ccb400e6018ccc451b29ab86a12"),
+    ("check convolution,padic,plancherel float 42", "06e3806ed84593ef1bb743b8dedb5bb0047471c7e37efca238f9a1ea1d7c73e3"),
     ("dual trivial function-algebra", "27ba6f3c0237dc491bbf5bcefe2a2c2511401529c92439994300614164be7f0b"),
     ("dual trivial group-algebra", "9b743731551f2efea45a311f70fb086746302c7ebd8f845275396116ee29cdd3"),
     ("dual Z2 function-algebra", "a4135cd57536016e5d7d388358e2606fb9afbf74e2dbdd7e9f1dbd57be45856e"),

@@ -1,6 +1,7 @@
 """Exact p-adic numbers, Schwartz functions, Haar integration and the
 transform."""
 
+import random
 from fractions import Fraction
 from math import inf
 
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgfourier import padic
-from qgfourier.scalars import EXACT, FLOAT, zeta
+from qgfourier import padic, suites
+from qgfourier.report import passed
+from qgfourier.scalars import EXACT, FLOAT, Cyclotomic, zeta
 
 
 # -- literals and numbers ----------------------------------------------------
@@ -244,8 +246,6 @@ def test_fixed_point_at_n_zero():
 
 
 def test_float_oracle_agrees():
-    import random
-
     rng = random.Random(5)
     for _ in range(5):
         f = padic.random_schwartz(2, rng, FLOAT)
@@ -254,6 +254,73 @@ def test_float_oracle_agrees():
             got = fh.evaluate(y)
             want = padic.padic_fourier_oracle_value(f, y)
             assert abs(got - want) < 1e-6
+
+
+# p = 5 and 7 stay at windows of at most 2 levels: a transform of a
+# transform costs cells in times cells out
+_LEVELS = {2: (-2, 2), 3: (-2, 2), 5: (-1, 1), 7: (-1, 1)}
+
+
+@pytest.mark.parametrize("p", sorted(_LEVELS))
+def test_float_transform_matches_the_exact_one(p):
+    for seed in range(8):
+        # the same seeded random function on the exact and the float backend
+        f, g = (padic.random_schwartz(p, random.Random(seed), be, _LEVELS[p]) for be in (EXACT, FLOAT))
+        for _ in range(2):
+            f, g = padic.padic_fourier(f), padic.padic_fourier(g)
+            assert g.level == f.level and list(g.cells) == list(f.cells)
+            for c, v in f.cells.items():
+                assert abs(g.cells[c] - EXACT.to_complex(v)) <= 1e-12, (seed, c)
+
+
+def _operation_results(p, be):
+    rng = random.Random(p)
+    f = padic.random_schwartz(p, rng, be, _LEVELS[p])
+    g = padic.random_schwartz(p, rng, be, _LEVELS[p])
+    cancels = padic.schwartz_scale(-1, f)  # f + (-f) and its convolutions drop every cell
+    yield f.refined(f.level + 1)
+    yield f.conjugate()
+    yield padic.padic_fourier(f)
+    for a, b in ((f, g), (f, cancels), (padic.padic_fourier(f), g)):
+        yield padic.schwartz_add(a, b)
+        yield padic.schwartz_mul(a, b)
+        yield padic.schwartz_convolve(a, b)
+
+
+@pytest.mark.parametrize("be", [EXACT, FLOAT], ids=["exact", "float"])
+@pytest.mark.parametrize("p", sorted(_LEVELS))
+def test_operation_results_are_canonical(p, be):
+    for r in _operation_results(p, be):
+        rebuilt = padic.SchwartzFunction(r.p, r.level, r.cells, r.backend)
+        assert list(rebuilt.cells.items()) == list(r.cells.items())
+        assert not any(be.is_zero(v) for v in r.cells.values())
+
+
+def test_float_path_builds_no_cyclotomic(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("cyclotomic arithmetic on the float path")
+
+    monkeypatch.setattr(padic, "zeta", refuse)
+    monkeypatch.setattr(Cyclotomic, "numeric_value", refuse)
+    for p in sorted(_LEVELS):
+        f = padic.random_schwartz(p, random.Random(p), FLOAT, _LEVELS[p])
+        reflected = padic.SchwartzFunction(p, f.level, {-c: v for c, v in f.cells.items()}, FLOAT)
+        assert padic.padic_fourier(padic.padic_fourier(f)) == reflected
+    reports = suites.suite_padic(FLOAT)
+    assert passed(reports), [r.case for r in reports if not r.ok]
+
+
+def test_operations_on_canonical_cells_reduce_no_key(monkeypatch):
+    f = padic.random_schwartz(3, random.Random(1), EXACT, (0, 2))
+    g = padic.random_schwartz(3, random.Random(2), EXACT, (-2, 0))
+    calls = []
+    mod_power = padic._mod_power
+    monkeypatch.setattr(padic, "_mod_power", lambda *a: calls.append(a) or mod_power(*a))
+    f.refined(f.level + 2)
+    f.conjugate()
+    padic.schwartz_add(f, g)
+    padic.schwartz_mul(f, g)
+    assert calls == []
 
 
 def test_mismatched_primes_rejected():

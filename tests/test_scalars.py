@@ -342,6 +342,35 @@ def test_sparse_arithmetic_matches_dense_reference(pair):
     assert a.is_zero() == (not any(ra))
 
 
+def _ref_numeric_value(coeffs, n):
+    """Horner's rule over all phi(n) dense coefficients."""
+    z = cmath.exp(2j * cmath.pi / n)
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * z + complex(c)
+    return acc
+
+
+@st.composite
+def ref_values(draw):
+    n = draw(st.sampled_from(_REF_ORDERS))
+    return Cyclotomic(n, _sparse_dense_list(draw, n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(ref_values())
+def test_numeric_value_matches_dense_horner(a):
+    # relative to the sum of |coefficients|, which bounds the value and both
+    # evaluations' rounding; the value itself may cancel to near zero
+    scale = max(1.0, sum(abs(float(c)) for c in a.terms.values()))
+    assert abs(a.numeric_value() - _ref_numeric_value(a.coeffs, a.order)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("k", [0, 1, 5, 2**12 + 3, 2**13, 2**13 + 5, 2**14 - 1])
+def test_numeric_value_of_a_root_of_unity_at_order_2_14(k):
+    assert abs(zeta(2**14, k).numeric_value() - cmath.exp(2j * cmath.pi * k / 2**14)) <= 1e-12
+
+
 @st.composite
 def invertible_values(draw):
     """Up to four terms below order 81; from 81 on a rational plus one root
