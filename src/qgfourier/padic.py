@@ -9,7 +9,9 @@ because -1 has an infinite expansion.
 
 Locally constant compactly supported functions are stored as a finite set of
 disjoint balls at one uniform level with scalar values; equality is decided
-on a common refinement.  On the exact backend the Fourier transform,
+on a common refinement.  A function with window (n, m) is a function on the
+finite group p^n Zp / p^m Zp, and its Fourier transform is that group's DFT,
+one sum per cell of the window (-m, -n).  On the exact backend the transform,
 convolution and the Haar integral are exact: character values are roots of
 unity of p-power order, so everything lives in cyclotomic fields.  The float
 backend computes the characters with cmath and never builds a Cyclotomic.
@@ -21,7 +23,7 @@ import cmath
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
+from math import inf, lcm, log
 
 from .report import check
 from .scalars import EXACT, Backend, Cyclotomic, zeta
@@ -70,13 +72,21 @@ def fraction_valuation(q: Fraction, p: int):
     return v
 
 
+def _in_z1p(q: Fraction, p: int) -> bool:
+    """Whether q is in Z[1/p], that is its denominator is a power of p."""
+    d = q.denominator
+    while p > 1 and d % p == 0:
+        d //= p
+    return d == 1
+
+
 def character(q: Fraction, p: int, backend: Backend = EXACT):
     """exp(2 pi i {q}_p) for q in Z[1/p]: on the exact backend a root of unity
     of p-power order, on the float backend a complex number from cmath."""
     frac = q - q.__floor__()
     if frac == 0:
         return Cyclotomic.one() if backend.exact else 1 + 0j
-    if fraction_valuation(frac, p) >= 0 or frac.denominator == 1:
+    if not _in_z1p(frac, p):
         raise PAdicError("%s is not in Z[1/%d]" % (q, p))
     if not backend.exact:
         return cmath.exp(2j * cmath.pi * float(frac))
@@ -158,18 +168,20 @@ def format_padic(q: Fraction, p: int) -> str:
         raise PAdicError("finite expansions are nonnegative; negate modulo p^M instead")
     if q == 0:
         return "0"
-    j = fraction_valuation(q, p)
-    n = q * Fraction(p) ** -j
-    if n.denominator != 1:
+    if p < 2:
+        raise PAdicError("p = %d is not a prime" % p)
+    k = round(log(q.denominator, p))
+    if p ** k != q.denominator:
         raise PAdicError("denominator is not a power of %d" % p)
-    n = n.numerator
-    terms = []
-    while n:
-        n, d = divmod(n, p)
-        if d:
-            terms.append(str(d) if j == 0 else "%d*%d^%d" % (d, p, j))
-        j += 1
-    return " + ".join(terms)
+    # base-p digits of the numerator by splitting at p^(2^i), largest first:
+    # near-linear where one divmod by p per digit is quadratic in the digits
+    powers = [p]
+    while powers[-1] ** 2 <= q.numerator:
+        powers.append(powers[-1] ** 2)
+    digits = [q.numerator]
+    for step in reversed(powers):
+        digits = [d for x in digits for d in reversed(divmod(x, step))]
+    return " + ".join(str(d) if i == k else "%d*%d^%d" % (d, p, i - k) for i, d in enumerate(digits) if d)
 
 
 _BALL = re.compile(r"^\s*(?:(.*?)\s*\+\s*)?(\d+)\s*\^\s*(-?\d+)\s*\*\s*Zp\s*$")
@@ -204,11 +216,6 @@ class Ball:
     def make(cls, p: int, level: int, center=0) -> "Ball":
         return cls(p, level, _mod_power(Fraction(center), p, level))
 
-    @classmethod
-    def zp(cls, p: int, scale: int = 0) -> "Ball":
-        """The compact open subgroup p^scale Zp."""
-        return cls.make(p, scale)
-
 
 def _make(p: int, level: int, cells: dict, backend: Backend) -> "SchwartzFunction":
     """A SchwartzFunction from keys already reduced mod p^level and normalized
@@ -231,9 +238,12 @@ class SchwartzFunction:
         self.backend = backend
         norm = {}
         for c, v in cells.items():
+            c = Fraction(c)
+            if not _in_z1p(c, p):
+                raise PAdicError("cell key %s is not in Z[1/%d]" % (c, p))
             v = backend.normalize(v)
             if not backend.is_zero(v):
-                norm[_mod_power(Fraction(c), p, level)] = v
+                norm[_mod_power(c, p, level)] = v
         self.cells = norm
 
     @classmethod
@@ -267,8 +277,6 @@ class SchwartzFunction:
     def window(self):
         """(n, m): support inside p^n Zp, constant on p^m Zp cosets."""
         m = self.level
-        if not self.cells:
-            return (m, m)
         n = min(min((fraction_valuation(c, self.p) for c in self.cells if c), default=m), m)
         return (n, m)
 
@@ -305,22 +313,7 @@ def indicator(b: Ball, backend: Backend = EXACT) -> SchwartzFunction:
 
 def subgroup_indicator(p: int, n: int, backend: Backend = EXACT) -> SchwartzFunction:
     """h_n, the characteristic function of p^n Zp."""
-    return indicator(Ball.zp(p, n), backend)
-
-
-def schwartz_add(f: SchwartzFunction, g: SchwartzFunction) -> SchwartzFunction:
-    f._chk(g)
-    # adding zero must not force a refinement to the zero's stored level
-    if not f.cells:
-        return g
-    if not g.cells:
-        return f
-    lvl = max(f.level, g.level)
-    a, b = f.refined(lvl), g.refined(lvl)
-    out = dict(a.cells)
-    for c, v in b.cells.items():
-        out[c] = out.get(c, f.backend.normalize(0)) + v
-    return _make(f.p, lvl, out, f.backend)
+    return indicator(Ball.make(p, n), backend)
 
 
 def schwartz_scale(s, f: SchwartzFunction) -> SchwartzFunction:
@@ -372,9 +365,9 @@ def padic_fourier(f: SchwartzFunction, scale=Fraction(1)) -> SchwartzFunction:
     """F(f)(y) = integral of f(x) conj(chi(x, y)) dx, exact on the exact
     backend; the float backend computes the characters with cmath.
 
-    One cell transforms to a conjugated character times the indicator of
-    p^-m Zp; the character factor is locally constant at level
-    L = max(-v(center), -m), so the result is again a cell decomposition.
+    On window (n, m), f is a function on the finite group p^n Zp / p^m Zp,
+    and F(f) is that group's DFT on the canonical window (-m, -n): one sum
+    over the input cells, in ``f.cells`` order, per output cell k p^-m.
     Raises PAdicError when the result would have more than MAX_CELLS cells.
     """
     p = f.p
@@ -383,36 +376,40 @@ def padic_fourier(f: SchwartzFunction, scale=Fraction(1)) -> SchwartzFunction:
         raise PAdicError("the transform of a function on window (%d, %d) has %d^%d cells, more than %d"
                          % (n, m, p, m - n, MAX_CELLS))
     be = f.backend
+    if not f.cells:
+        return SchwartzFunction.zero(p, be)
     step = Fraction(p) ** (-m)
     measure = be.normalize(Fraction(scale) * step)
-    pieces = []
-    for c, v in f.cells.items():
-        vc = fraction_valuation(c, p)
-        L = -m if vc is inf else max(-vc, -m)
-        cells = {}
-        for t in range(p ** (L + m)):
-            y0 = t * step
-            cells[y0] = v * (be.conj(character(c * y0, p, be)) * measure)
-        pieces.append(SchwartzFunction(p, L, cells, be))
-    out = SchwartzFunction.zero(p, be)
-    for piece in pieces:
-        out = schwartz_add(out, piece)
-    return out
+    out = {}
+    for y in [k * step for k in range(p ** (m - n))]:
+        acc = None
+        for c, v in f.cells.items():
+            term = v * (be.conj(character(c * y, p, be)) * measure)
+            # a partial sum that vanished restarts from 0: the order is that of the later terms
+            acc = term if acc is None else (be.normalize(0) + term if be.is_zero(acc) else acc + term)
+        out[y] = acc
+    return _make(p, -n, out, be)
 
 
 def padic_fourier_oracle_value(f: SchwartzFunction, y, extra_levels: int = 2) -> complex:
     """Brute-force Riemann sum for F(f)(y): one sample per fine cell,
-    weighted by cell measure, characters evaluated numerically."""
+    weighted by cell measure, characters evaluated numerically.  Over one
+    common denominator d, key c has c y = b/d and the fine cell c + t p^level
+    the phase ((b + t s) mod d) / d with s/d = p^level y: integers only."""
+    p = f.p
     yq = Fraction(y)
-    vy = fraction_valuation(yq, f.p)
-    lvl = f.level if vy is inf else max(f.level, -vy)
-    lvl += extra_levels
-    fine = f.refined(lvl)
-    w = float(Fraction(f.p) ** (-lvl))
+    vy = fraction_valuation(yq, p)
+    lvl = (f.level if vy is inf else max(f.level, -vy)) + extra_levels
+    w = float(Fraction(p) ** (-lvl))
+    step = Fraction(p) ** f.level
+    D = lcm(step.denominator, *(c.denominator for c in f.cells))
+    d, s = D * yq.denominator, step.numerator * (D // step.denominator) * yq.numerator
     acc = 0j
-    for c, v in fine.cells.items():
-        phase = cmath.exp(-2j * cmath.pi * float(c * yq - (c * yq).__floor__()))
-        acc += f.backend.to_complex(v) * phase * w
+    for c, v in f.cells.items():
+        b, value = c.numerator * (D // c.denominator) * yq.numerator, f.backend.to_complex(v)
+        for t in range(p ** (lvl - f.level)):
+            phase = cmath.exp(-2j * cmath.pi * (((b + t * s) % d) / d))
+            acc += value * phase * w
     return acc
 
 

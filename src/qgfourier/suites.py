@@ -170,10 +170,11 @@ def suite_biduality(backend: Backend = EXACT, seed: int = 0) -> list:
 def _biduality_failures(A):
     d1 = core.build_dual(A)
     d2 = core.build_dual(d1.dual)
-    # canonical identification: a_k -> evaluation functional on the dual;
-    # its coordinates in the bidual basis are M = P (P_hat^T)^{-1}
-    M = linalg.mat_mul(d1.pairing, linalg.inverse(linalg.transpose(d2.pairing), A.backend))
-    yield from core.tensor_differences(core.transport(d2.dual, M), A)
+    # canonical identification: a_k -> evaluation functional on the dual; its bidual
+    # coordinates are M = P (P_hat^T)^-1, M^-1 = P_hat^T P^-1 from cached inverses
+    M = linalg.mat_mul(d1.pairing, linalg.transpose(d1.dual.gram_inverse()))
+    Minv = linalg.mat_mul(linalg.transpose(d2.pairing), A.gram_inverse())
+    yield from core.tensor_differences(core._transport(d2.dual, M, Minv, None), A)
 
 
 def suite_types(backend: Backend = EXACT, seed: int = 0) -> list:

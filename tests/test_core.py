@@ -509,3 +509,15 @@ def test_a_group_eliminates_each_gram_matrix_once(monkeypatch):
     core.build_dual(B)
     assert calls == [16, 16]
 
+
+
+def test_biduality_reuses_the_cached_gram_inverses(monkeypatch):
+    calls = []
+    inverse = linalg.inverse
+    monkeypatch.setattr(linalg, "inverse", lambda m, backend=EXACT: calls.append(len(m)) or inverse(m, backend))
+    for name, A in fixtures.standard_fixtures(EXACT):
+        calls.clear()
+        assert list(suites._biduality_failures(A)) == [], name
+        # the two build_dual calls invert the Gram matrices of A and of its
+        # dual once each; M and M^-1 are products of those inverses
+        assert calls == [A.dim] * 4, name

@@ -1,15 +1,16 @@
 """Exact p-adic numbers, Schwartz functions, Haar integration and the
 transform."""
 
+import cmath
 import random
 from fractions import Fraction
 from math import inf
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qgfourier import padic, suites
+from qgfourier import exchange, padic, suites
 from qgfourier.report import passed
 from qgfourier.scalars import EXACT, FLOAT, Cyclotomic, zeta
 
@@ -105,6 +106,20 @@ def test_character_values():
         padic.character(Fraction(1, 3), 2)  # not in Z[1/2]
 
 
+@pytest.mark.parametrize("be", [EXACT, FLOAT], ids=["exact", "float"])
+def test_denominators_with_another_prime_are_refused(be):
+    # 6 and 12 are divisible by 2 but are not powers of 2
+    for q in (Fraction(1, 6), Fraction(5, 12), Fraction(7, 3 * 2**5)):
+        with pytest.raises(padic.PAdicError, match=r"not in Z\[1/2\]"):
+            padic.character(q, 2, be)
+    with pytest.raises(padic.PAdicError, match=r"not in Z\[1/2\]"):
+        padic.SchwartzFunction(2, 0, {Fraction(1, 3): 1}, be)
+    with pytest.raises(padic.PAdicError, match=r"not in Z\[1/3\]"):
+        padic.SchwartzFunction(3, -1, {0: 1, Fraction(1, 6): 1}, be)
+    assert padic.SchwartzFunction(2, 1, {Fraction(5, 2): 1, 3: 2}, be).cells == {
+        Fraction(1, 2): be.normalize(1), 1: be.normalize(2)}
+
+
 def test_fractional_part():
     # only the negative-exponent digits reach the character
     x = padic.parse_padic("2*3^-2 + 1*3^-1 + 2 + 1*3^1", 3)
@@ -148,7 +163,9 @@ def reference_format(p, digits):
 
 
 @settings(max_examples=200, deadline=None)
-@given(p=st.sampled_from([2, 3, 5, 7]), a=st.integers(0, 10**12), k=st.integers(0, 12))
+@given(p=st.sampled_from([2, 3, 5, 7]), a=st.integers(0, 10**12) | st.integers(0, 2**4097 - 1), k=st.integers(0, 12))
+@example(p=2, a=2**4097 - 1, k=0)  # 4,097 digits, none of them zero, up to MAX_EXPONENT
+@example(p=7, a=6 * 7**4096 + 7**2048 + 5, k=12)  # 4,097 digits from 7^-12
 def test_format_matches_the_digit_reference(p, a, k):
     q = Fraction(a, p**k)
     text = padic.format_padic(q, p)
@@ -282,7 +299,6 @@ def _operation_results(p, be):
     yield f.conjugate()
     yield padic.padic_fourier(f)
     for a, b in ((f, g), (f, cancels), (padic.padic_fourier(f), g)):
-        yield padic.schwartz_add(a, b)
         yield padic.schwartz_mul(a, b)
         yield padic.schwartz_convolve(a, b)
 
@@ -318,9 +334,115 @@ def test_operations_on_canonical_cells_reduce_no_key(monkeypatch):
     monkeypatch.setattr(padic, "_mod_power", lambda *a: calls.append(a) or mod_power(*a))
     f.refined(f.level + 2)
     f.conjugate()
-    padic.schwartz_add(f, g)
     padic.schwartz_mul(f, g)
     assert calls == []
+
+
+# -- the one-pass transform and the integer oracle against the code they
+# replaced: one piece per input cell folded in by schwartz_add, and a
+# Riemann sum over f.refined with Fraction keys
+
+
+def reference_add(f, g):
+    """The removed schwartz_add."""
+    if not f.cells:
+        return g
+    if not g.cells:
+        return f
+    lvl = max(f.level, g.level)
+    a, b = f.refined(lvl), g.refined(lvl)
+    out = dict(a.cells)
+    for c, v in b.cells.items():
+        out[c] = out.get(c, f.backend.normalize(0)) + v
+    return padic._make(f.p, lvl, out, f.backend)
+
+
+def reference_fourier(f, scale=Fraction(1)):
+    """The pieces loop: one cell transforms to a conjugated character times
+    the indicator of p^-m Zp, locally constant at level max(-v(c), -m)."""
+    p = f.p
+    n, m = f.window()
+    be = f.backend
+    step = Fraction(p) ** (-m)
+    measure = be.normalize(Fraction(scale) * step)
+    pieces = []
+    for c, v in f.cells.items():
+        vc = padic.fraction_valuation(c, p)
+        L = -m if vc is inf else max(-vc, -m)
+        cells = {}
+        for t in range(p ** (L + m)):
+            y0 = t * step
+            cells[y0] = v * (be.conj(padic.character(c * y0, p, be)) * measure)
+        pieces.append(padic.SchwartzFunction(p, L, cells, be))
+    out = padic.SchwartzFunction.zero(p, be)
+    for piece in pieces:
+        out = reference_add(out, piece)
+    return out
+
+
+def reference_oracle(f, y, extra_levels=2):
+    yq = Fraction(y)
+    vy = padic.fraction_valuation(yq, f.p)
+    lvl = f.level if vy is inf else max(f.level, -vy)
+    lvl += extra_levels
+    fine = f.refined(lvl)
+    w = float(Fraction(f.p) ** (-lvl))
+    acc = 0j
+    for c, v in fine.cells.items():
+        phase = cmath.exp(-2j * cmath.pi * float(c * yq - (c * yq).__floor__()))
+        acc += f.backend.to_complex(v) * phase * w
+    return acc
+
+
+def _reference_inputs(p, seed, be):
+    """A random function, one whose +-1 values cancel in partial sums of the
+    transform, and an empty one."""
+    rng = random.Random(seed)
+    yield padic.random_schwartz(p, rng, be, _LEVELS[p], max_cells=6)
+    level, span = rng.randint(0, 2), _LEVELS[p][1] + 1
+    cells = {rng.randint(0, p**span - 1) * Fraction(p) ** (level - span): rng.choice([-1, 1]) for _ in range(8)}
+    yield padic.SchwartzFunction(p, level, cells, be)
+    yield padic.SchwartzFunction(p, level, {}, be)
+
+
+@pytest.mark.parametrize("be", [EXACT, FLOAT], ids=["exact", "float"])
+@pytest.mark.parametrize("p", sorted(_LEVELS))
+def test_transform_matches_the_pieces_loop(p, be):
+    for seed in range(10):
+        for f in _reference_inputs(p, seed, be):
+            for scale in (Fraction(1), Fraction(p) ** 2, Fraction(-3, p)):
+                got, want = padic.padic_fourier(f, scale), reference_fourier(f, scale)
+                if be.exact:
+                    # identical bytes, the order of every value included
+                    assert exchange.dumps(exchange.schwartz_to_obj(got)) == exchange.dumps(
+                        exchange.schwartz_to_obj(want)), (seed, f, scale)
+                else:
+                    assert (got.level, repr(sorted(got.cells.items()))) == (
+                        want.level, repr(sorted(want.cells.items()))), (seed, f, scale)
+
+
+@pytest.mark.parametrize("p", sorted(_LEVELS))
+def test_oracle_matches_the_refined_sum(p):
+    points = [Fraction(0), Fraction(1, p), Fraction(3, p**2), Fraction(p), Fraction(5, p ** (_LEVELS[p][1] + 1)), Fraction(-7, p)]
+    for seed in range(10 if p < 5 else 3):  # fine cells grow like p^(span + extra)
+        for be in (EXACT, FLOAT):
+            for f in _reference_inputs(p, seed, be):
+                for y in points:
+                    for extra in (0, 2):
+                        got = padic.padic_fourier_oracle_value(f, y, extra)
+                        assert repr(got) == repr(reference_oracle(f, y, extra)), (seed, f, y)
+
+
+def test_transform_builds_no_piece_and_refines_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a piece or a refinement inside padic_fourier")
+
+    inputs = [f for p in sorted(_LEVELS) for be in (EXACT, FLOAT) for f in _reference_inputs(p, p, be)]
+    monkeypatch.setattr(padic.SchwartzFunction, "refined", refuse)
+    monkeypatch.setattr(padic.SchwartzFunction, "__init__", refuse)
+    for f in inputs:
+        if f.cells:
+            padic.padic_fourier(f)
 
 
 def test_mismatched_primes_rejected():
