@@ -11,10 +11,15 @@ Locally constant compactly supported functions are stored as a finite set of
 disjoint balls at one uniform level with scalar values; equality is decided
 on a common refinement.  A function with window (n, m) is a function on the
 finite group p^n Zp / p^m Zp, and its Fourier transform is that group's DFT,
-one sum per cell of the window (-m, -n).  On the exact backend the transform,
-convolution and the Haar integral are exact: character values are roots of
-unity of p-power order, so everything lives in cyclotomic fields.  The float
-backend computes the characters with cmath and never builds a Cyclotomic.
+one sum per cell of the window (-m, -n).  The group and its dual are both
+indexed by integers mod N = p^(m - n): input key j p^n and output key k p^-m
+pair to the character exp(-2 pi i jk/N), so the transform needs only the
+phase jk mod N.  On the exact backend the transform, convolution and the
+Haar integral are exact: character values are roots of unity of p-power
+order, so everything lives in cyclotomic fields.  The float backend computes
+the characters with cmath, once per phase and call, and never builds a
+Cyclotomic.  The exact backend computes them per term: a table of N
+Cyclotomics alive for the whole call costs more in garbage collection.
 """
 
 from __future__ import annotations
@@ -23,10 +28,10 @@ import cmath
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, lcm, log
+from math import gcd, inf, lcm, log
 
 from .report import check
-from .scalars import EXACT, Backend, Cyclotomic, zeta
+from .scalars import EXACT, Backend, zeta
 
 
 class PAdicError(ValueError):
@@ -72,25 +77,32 @@ def fraction_valuation(q: Fraction, p: int):
     return v
 
 
-def _in_z1p(q: Fraction, p: int) -> bool:
-    """Whether q is in Z[1/p], that is its denominator is a power of p."""
+def _z1p(x, p: int, what: str = "") -> Fraction:
+    """x as a Fraction; PAdicError unless its denominator is a power of p."""
+    q = Fraction(x)
     d = q.denominator
     while p > 1 and d % p == 0:
         d //= p
-    return d == 1
+    if d != 1:
+        raise PAdicError("%s%s is not in Z[1/%d]" % (what, q, p))
+    return q
+
+
+def _root(r: int, N: int, backend: Backend):
+    """exp(2 pi i r/N), 0 <= r < N: zeta_N^r in lowest terms, or from cmath
+    (r / N is correctly rounded, as float(Fraction(r, N)) is)."""
+    if backend.exact:
+        g = gcd(r, N)
+        return zeta(N // g, r // g)
+    return cmath.exp(2j * cmath.pi * (r / N))
 
 
 def character(q: Fraction, p: int, backend: Backend = EXACT):
     """exp(2 pi i {q}_p) for q in Z[1/p]: on the exact backend a root of unity
     of p-power order, on the float backend a complex number from cmath."""
+    q = _z1p(q, p)
     frac = q - q.__floor__()
-    if frac == 0:
-        return Cyclotomic.one() if backend.exact else 1 + 0j
-    if not _in_z1p(frac, p):
-        raise PAdicError("%s is not in Z[1/%d]" % (q, p))
-    if not backend.exact:
-        return cmath.exp(2j * cmath.pi * float(frac))
-    return zeta(frac.denominator, frac.numerator)
+    return _root(frac.numerator, frac.denominator, backend)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +226,7 @@ class Ball:
 
     @classmethod
     def make(cls, p: int, level: int, center=0) -> "Ball":
-        return cls(p, level, _mod_power(Fraction(center), p, level))
+        return cls(p, level, _mod_power(_z1p(center, p, "center "), p, level))
 
 
 def _make(p: int, level: int, cells: dict, backend: Backend) -> "SchwartzFunction":
@@ -238,9 +250,7 @@ class SchwartzFunction:
         self.backend = backend
         norm = {}
         for c, v in cells.items():
-            c = Fraction(c)
-            if not _in_z1p(c, p):
-                raise PAdicError("cell key %s is not in Z[1/%d]" % (c, p))
+            c = _z1p(c, p, "cell key ")
             v = backend.normalize(v)
             if not backend.is_zero(v):
                 norm[_mod_power(c, p, level)] = v
@@ -271,7 +281,7 @@ class SchwartzFunction:
         return _make(self.p, level, out, self.backend)
 
     def evaluate(self, x):
-        key = _mod_power(Fraction(x), self.p, self.level)
+        key = _mod_power(_z1p(x, self.p, "point "), self.p, self.level)
         return self.cells.get(key, self.backend.normalize(0))
 
     def window(self):
@@ -368,11 +378,16 @@ def padic_fourier(f: SchwartzFunction, scale=Fraction(1)) -> SchwartzFunction:
     On window (n, m), f is a function on the finite group p^n Zp / p^m Zp,
     and F(f) is that group's DFT on the canonical window (-m, -n): one sum
     over the input cells, in ``f.cells`` order, per output cell k p^-m.
+    Input key c = j p^n (n is the least valuation, so j is an integer) meets
+    output cell k p^-m at phase jk mod N, N = p^(m - n).  The float backend
+    takes conj(exp(2 pi i r/N)) * measure from a table of its N values; the
+    exact backend computes it per term, so that the Cyclotomics die at once.
     Raises PAdicError when the result would have more than MAX_CELLS cells.
     """
     p = f.p
     n, m = f.window()
-    if p ** (m - n) > MAX_CELLS:
+    N = p ** (m - n)
+    if N > MAX_CELLS:
         raise PAdicError("the transform of a function on window (%d, %d) has %d^%d cells, more than %d"
                          % (n, m, p, m - n, MAX_CELLS))
     be = f.backend
@@ -380,14 +395,22 @@ def padic_fourier(f: SchwartzFunction, scale=Fraction(1)) -> SchwartzFunction:
         return SchwartzFunction.zero(p, be)
     step = Fraction(p) ** (-m)
     measure = be.normalize(Fraction(scale) * step)
+    unit = Fraction(p) ** n
+    cells = [(int(c / unit), v) for c, v in f.cells.items()]
+
+    def twiddle(r):
+        return be.conj(_root(r, N, be)) * measure
+
+    if not be.exact:
+        twiddle = list(map(twiddle, range(N))).__getitem__
     out = {}
-    for y in [k * step for k in range(p ** (m - n))]:
+    for k in range(N):
         acc = None
-        for c, v in f.cells.items():
-            term = v * (be.conj(character(c * y, p, be)) * measure)
+        for j, v in cells:
+            term = v * twiddle(j * k % N)
             # a partial sum that vanished restarts from 0: the order is that of the later terms
             acc = term if acc is None else (be.normalize(0) + term if be.is_zero(acc) else acc + term)
-        out[y] = acc
+        out[k * step] = acc
     return _make(p, -n, out, be)
 
 
@@ -437,14 +460,15 @@ def _group_like_failures(f: SchwartzFunction):
     be = f.backend
     n, m = f.window()
     lo = n - 1
+    N = p ** (m - lo)
     step = Fraction(p) ** lo
-    points = [t * step for t in range(p ** (m - lo))]
-    for x in points:
-        fx = f.evaluate(x)
-        for y in points:
-            fy = f.evaluate(y)
-            if not be.is_zero(f.evaluate(x + y) * fy - fx * fy):
-                yield "(x, y) = (%s, %s)" % (x, y)
+    points = [t * step for t in range(N)]
+    # x + y = (s + t) p^lo, which is ((s + t) mod N) p^lo modulo p^m
+    vals = [f.evaluate(x) for x in points]
+    for s, fx in enumerate(vals):
+        for t, fy in enumerate(vals):
+            if not be.is_zero(vals[(s + t) % N] * fy - fx * fy):
+                yield "(x, y) = (%s, %s)" % (points[s], points[t])
 
 
 def is_group_like_schwartz(f: SchwartzFunction) -> bool:

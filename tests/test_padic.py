@@ -118,6 +118,13 @@ def test_denominators_with_another_prime_are_refused(be):
         padic.SchwartzFunction(3, -1, {0: 1, Fraction(1, 6): 1}, be)
     assert padic.SchwartzFunction(2, 1, {Fraction(5, 2): 1, 3: 2}, be).cells == {
         Fraction(1, 2): be.normalize(1), 1: be.normalize(2)}
+    # 1/3 is a 2-adic integer, so a key lookup mod 2^0 would answer 0 for it
+    for point in (Fraction(1, 3), Fraction(5, 6)):
+        with pytest.raises(padic.PAdicError, match=r"point %s is not in Z\[1/2\]" % point):
+            padic.subgroup_indicator(2, 0, be).evaluate(point)
+        with pytest.raises(padic.PAdicError, match=r"center %s is not in Z\[1/2\]" % point):
+            padic.indicator(padic.Ball.make(2, 0, point), be)
+    assert padic.subgroup_indicator(2, 0, be).evaluate(Fraction(3, 4)) == be.normalize(0)
 
 
 def test_fractional_part():
@@ -255,6 +262,47 @@ def test_group_like_suite():
     assert not padic.is_group_like_schwartz(coset)
     reports = padic.padic_group_like_suite(3, range(-2, 3))
     assert all(r.ok for r in reports), [r.case for r in reports if not r.ok]
+
+
+def reference_group_like_failures(f):
+    """_group_like_failures on the Fraction grid, f evaluated at x + y."""
+    if f.is_zero():
+        yield "f = 0"
+        return
+    if not padic.schwartz_mul(f, f) == f:
+        yield "f^2 != f"
+    if not f.conjugate() == f:
+        yield "conj(f) != f"
+    n, m = f.window()
+    step = Fraction(f.p) ** (n - 1)
+    points = [t * step for t in range(f.p ** (m - n + 1))]
+    for x in points:
+        fx = f.evaluate(x)
+        for y in points:
+            fy = f.evaluate(y)
+            if not f.backend.is_zero(f.evaluate(x + y) * fy - fx * fy):
+                yield "(x, y) = (%s, %s)" % (x, y)
+
+
+@pytest.mark.parametrize("be", [EXACT, FLOAT], ids=["exact", "float"])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_group_like_witnesses_match_the_fraction_grid(p, be):
+    u = Fraction(p)
+    coset = padic.indicator(padic.Ball.make(p, 1, 1), be)  # 1 + pZp
+    assert len(list(reference_group_like_failures(coset))) > 1
+    inputs = [padic.subgroup_indicator(p, n, be) for n in (-1, 0, 2)]
+    inputs += [padic.padic_fourier(padic.subgroup_indicator(p, 1, be), u)]
+    inputs += [
+        coset,
+        padic.schwartz_scale(2, padic.subgroup_indicator(p, -1, be)),
+        padic.SchwartzFunction(p, 1, {0: 1, u**-1: 1}, be),
+        padic.SchwartzFunction(p, 0, {0: zeta(4) if be.exact else 1j}, be),
+        padic.SchwartzFunction.zero(p, be),
+        padic.random_schwartz(p, random.Random(p), be, (-1, 1)),
+    ]
+    for f in inputs:
+        got = list(padic._group_like_failures(f))
+        assert got == list(reference_group_like_failures(f)), f
 
 
 def test_fixed_point_at_n_zero():
@@ -405,20 +453,31 @@ def _reference_inputs(p, seed, be):
     yield padic.SchwartzFunction(p, level, {}, be)
 
 
+def _edge_inputs(p, be):
+    """The edges of the integer indexing: N = 1 (one cell, n = m), n < 0 and
+    n > 0, and keys of valuation above n, so that p divides j."""
+    u = Fraction(p)
+    yield padic.SchwartzFunction(p, 1, {0: 3}, be)
+    yield padic.SchwartzFunction(p, -2, {0: -1}, be)
+    yield padic.SchwartzFunction(p, 1, {u**-2: 1, u**-1: -1, 1: 2, u**-2 * (p + 1): 1}, be)
+    yield padic.SchwartzFunction(p, 3, {u: 2, u**2: -1, 0: 1, u * (p + 1): 3}, be)
+    yield padic.SchwartzFunction(p, 2, {u: 1}, be)
+
+
 @pytest.mark.parametrize("be", [EXACT, FLOAT], ids=["exact", "float"])
 @pytest.mark.parametrize("p", sorted(_LEVELS))
 def test_transform_matches_the_pieces_loop(p, be):
-    for seed in range(10):
-        for f in _reference_inputs(p, seed, be):
-            for scale in (Fraction(1), Fraction(p) ** 2, Fraction(-3, p)):
-                got, want = padic.padic_fourier(f, scale), reference_fourier(f, scale)
-                if be.exact:
-                    # identical bytes, the order of every value included
-                    assert exchange.dumps(exchange.schwartz_to_obj(got)) == exchange.dumps(
-                        exchange.schwartz_to_obj(want)), (seed, f, scale)
-                else:
-                    assert (got.level, repr(sorted(got.cells.items()))) == (
-                        want.level, repr(sorted(want.cells.items()))), (seed, f, scale)
+    inputs = [f for seed in range(10) for f in _reference_inputs(p, seed, be)] + list(_edge_inputs(p, be))
+    for f in inputs:
+        for scale in (Fraction(1), Fraction(p) ** 2, Fraction(-3, p)):
+            got, want = padic.padic_fourier(f, scale), reference_fourier(f, scale)
+            if be.exact:
+                # identical bytes, the order of every value included
+                assert exchange.dumps(exchange.schwartz_to_obj(got)) == exchange.dumps(
+                    exchange.schwartz_to_obj(want)), (f, scale)
+            else:
+                assert (got.level, repr(sorted(got.cells.items()))) == (
+                    want.level, repr(sorted(want.cells.items()))), (f, scale)
 
 
 @pytest.mark.parametrize("p", sorted(_LEVELS))
@@ -443,6 +502,22 @@ def test_transform_builds_no_piece_and_refines_nothing(monkeypatch):
     for f in inputs:
         if f.cells:
             padic.padic_fourier(f)
+
+
+@pytest.mark.parametrize("cells", [1, 3, 27])
+def test_float_transform_computes_n_roots_and_the_exact_one_cells_times_n(monkeypatch, cells):
+    # keys j/3 at level 2 and p = 3: window (-1, 2), so N = 27
+    p, N = 3, 27
+    js = range(N) if cells == N else [1, 2, 4][:cells]
+    calls = []
+    root = padic._root
+    monkeypatch.setattr(padic, "_root", lambda r, n, be: calls.append(n) or root(r, n, be))
+    for be, want in ((FLOAT, N), (EXACT, cells * N)):
+        f = padic.SchwartzFunction(p, 2, {j * Fraction(1, p): 1 for j in js}, be)
+        assert f.window() == (-1, 2) and len(f.cells) == cells
+        calls.clear()
+        padic.padic_fourier(f)
+        assert calls == [N] * want, be
 
 
 def test_mismatched_primes_rejected():
